@@ -278,6 +278,11 @@ def _require(cond, msg):
         raise CertificateSchemaError(msg)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_certificate(text: str) -> Certificate:
     """Parse and structurally validate a certificate document.
 
@@ -289,14 +294,14 @@ def parse_certificate(text: str) -> Certificate:
     except json.JSONDecodeError as exc:
         raise CertificateSchemaError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
-    _require(isinstance(doc.get("clique_size"), int) and doc["clique_size"] >= 1,
+    _require(_is_int(doc.get("clique_size")) and doc["clique_size"] >= 1,
              "clique_size: must be a positive integer")
     r = doc["clique_size"]
     terminals = doc.get("terminals")
     _require(isinstance(terminals, list) and len(terminals) == r,
              f"terminals: expected a list of {r} vertex ids")
     for i, v in enumerate(terminals):
-        _require(isinstance(v, int) and v >= 0, f"terminals[{i}]: bad vertex id {v!r}")
+        _require(_is_int(v) and v >= 0, f"terminals[{i}]: bad vertex id {v!r}")
     conns_doc = doc.get("connections")
     _require(isinstance(conns_doc, list), "connections: expected a list")
     connections = {}
@@ -305,7 +310,7 @@ def parse_certificate(text: str) -> Certificate:
         _require(isinstance(entry, dict), f"{where}: expected an object")
         pair = entry.get("pair")
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(isinstance(x, int) for x in pair),
+                 and all(_is_int(x) for x in pair),
                  f"{where}.pair: expected two terminal indices")
         a, b = pair
         _require(0 <= a < b < r, f"{where}.pair: ({a}, {b}) is not a valid pair")
@@ -314,7 +319,7 @@ def parse_certificate(text: str) -> Certificate:
         _require(isinstance(verts, list) and len(verts) >= 2,
                  f"{where}.vertices: expected at least two vertex ids")
         for j, v in enumerate(verts):
-            _require(isinstance(v, int) and v >= 0,
+            _require(_is_int(v) and v >= 0,
                      f"{where}.vertices[{j}]: bad vertex id {v!r}")
         try:
             connections[(a, b)] = Route(tuple(verts))

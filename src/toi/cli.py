@@ -233,6 +233,8 @@ def _budget(args) -> SearchBudget:
 
 def _cmd_solve(args) -> int:
     _solver_threads()
+    if args.max_t is not None and args.max_t < 1:
+        raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read_graph(args.graph)
     result = exact_toi(g, _budget(args), max_t=args.max_t)
     witness_path = None

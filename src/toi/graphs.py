@@ -285,6 +285,13 @@ def read_graph_text(text: str) -> Graph:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")
     if n is None:
         raise GraphFormatError("missing problem line")
+    edge_set = frozenset(edges)
+    if len(edge_set) != len(edges):
+        seen = set()
+        for e in edges:
+            if e in seen:
+                raise GraphFormatError(f"duplicate edge {e}")
+            seen.add(e)
     if len(edges) != m:
         raise GraphFormatError(f"problem line declares {m} edges, found {len(edges)}")
     labels = None
@@ -293,6 +300,6 @@ def read_graph_text(text: str) -> Graph:
             raise GraphFormatError("label lines must cover every vertex exactly once")
         labels = tuple(label_map[v] for v in range(n))
     try:
-        return Graph(n=n, edges=frozenset(edges), labels=labels)
+        return Graph(n=n, edges=edge_set, labels=labels)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None

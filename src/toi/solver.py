@@ -1,10 +1,18 @@
 """Exact small-instance computation of toi(G) and the chromatic number.
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
-systems, with degree-eligibility and bipartiteness pruning.  This module is
-the independent brute-force oracle for the constructions: any witness it
-returns is re-verified before being handed out, and a definitive absence is
-only reported when the search space was fully enumerated.
+systems, with degree-eligibility, bipartiteness and edge-budget pruning.
+This module is the independent brute-force oracle for the constructions: any
+witness it returns is re-verified before being handed out, and a definitive
+absence is only reported when the search space was fully enumerated.
+
+Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
+None.  Terminal sets skipped by the edge-budget bound (proved in
+:func:`exact_toi`) have no route system at all, so they never weaken a
+refutation.  The route length cap does, but only where it actually cut a
+branch: a refutation counts as complete unless the cap pruned a
+non-terminal neighbour while that level was searched.  An answer is exact
+when every level above it was refuted completely.
 """
 
 from __future__ import annotations
@@ -85,6 +93,9 @@ class _ToiSearch:
                          if budget.time_limit is not None else None)
         self.edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
+        self.adj_mask = [sum(1 << w for w in nbrs) for nbrs in self.adj]
+        # set when the route length cap prunes a branch during find()
+        self.cap_pruned = False
 
     def _tick(self):
         self.nodes += 1
@@ -120,7 +131,10 @@ class _ToiSearch:
                             verts = tuple(reversed(verts))
                         yield verts, mask | bit
                     continue
-                if w in terminals or length + 1 >= cap:
+                if w in terminals:
+                    continue
+                if length + 1 >= cap:
+                    self.cap_pruned = True
                     continue
                 visited.add(w)
                 path.append(w)
@@ -132,8 +146,10 @@ class _ToiSearch:
 
     def find(self, t: int) -> Optional[Certificate]:
         """First totally odd strong K_t certificate in deterministic order,
-        or None after exhausting the space.  Raises on budget exhaustion."""
+        or None after exhausting the space.  Raises on budget exhaustion.
+        ``cap_pruned`` tells afterwards whether the route cap cut a branch."""
         g = self.g
+        self.cap_pruned = False
         if t == 1:
             return Certificate(1, (0,)) if g.n >= 1 else None
         eligible = [v for v in range(g.n) if len(self.adj[v]) >= t - 1]
@@ -144,6 +160,8 @@ class _ToiSearch:
         for combo in itertools.combinations(order, t):
             self._tick()
             subset = tuple(sorted(combo))
+            if self._edge_budget_refutes(subset):
+                continue
             terminal_set = frozenset(subset)
             chosen = {}
 
@@ -167,6 +185,22 @@ class _ToiSearch:
                 assert report.all_ok, report.first_violation
                 return cert
         return None
+
+    def _edge_budget_refutes(self, subset) -> bool:
+        """True when the non-adjacent terminal pairs of ``subset`` need more
+        edges than the host has (the bound proved in :func:`exact_toi`)."""
+        subset_mask = 0
+        for v in subset:
+            subset_mask |= 1 << v
+        twice_adjacent = degree_sum = 0
+        for v in subset:
+            twice_adjacent += (self.adj_mask[v] & subset_mask).bit_count()
+            degree_sum += len(self.adj[v])
+        t = len(subset)
+        far = t * (t - 1) // 2 - twice_adjacent // 2
+        terminal_other = degree_sum - twice_adjacent
+        other_other = self.g.m - twice_adjacent // 2 - terminal_other
+        return 2 * far > terminal_other or far > other_other
 
     def _feasible(self, subset, pairs, pi, used) -> bool:
         """Every terminal must keep enough free incident edges for its
@@ -202,7 +236,8 @@ def has_toi_clique(g: Graph, t: int,
     """Search for a totally odd strong K_t immersion certificate.
 
     A returned certificate always passes full verification.  Absence is
-    definitive only for an uncapped search within budget.
+    definitive only for a search within budget whose route cap never cut a
+    branch.
     """
     if t < 1:
         raise ValueError("clique size must be positive")
@@ -212,7 +247,7 @@ def has_toi_clique(g: Graph, t: int,
         cert = search.find(t)
     except _BudgetExhausted:
         return CliqueSearchOutcome(None, False, search.nodes)
-    definitive = cert is not None or search.cap is None
+    definitive = cert is not None or not search.cap_pruned
     return CliqueSearchOutcome(cert, definitive, search.nodes)
 
 
@@ -220,12 +255,31 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
               max_t: Optional[int] = None) -> SolveResult:
     """Maximum t with a totally odd strong K_t immersion, by descending search.
 
-    Status is "exact" only when every value above the answer was refuted by
-    complete, uncapped enumeration; a ``max_t`` cutoff below the natural
-    upper bound downgrades a hit at the cutoff to "lower-bound-only".
+    Status is "exact" only when every value above the answer was refuted
+    completely: the route length cap never pruned a branch while that value
+    was searched.  A ``max_t`` cutoff below the natural upper bound
+    downgrades a hit at the cutoff to "lower-bound-only".
+
+    Edge-budget bound.  Fix a terminal set T of size t with A pairs adjacent
+    in G and F = C(t, 2) - A non-adjacent ("far") pairs.  Let
+    E_TN = sum of deg(v) over T, minus 2A, be the number of edges from T to
+    the other vertices N, and E_NN = m - A - E_TN the number of edges inside
+    N.  If 2F > E_TN or F > E_NN, T carries no totally odd strong K_t
+    immersion, and the search skips it.  Proof: the route of a far pair is
+    odd and not a single edge, so it has length at least 3.  Strongness
+    keeps terminals out of its interior, so its first and last edges join T
+    to N and its remaining edges, an odd number and at least one, lie inside
+    N.  Routes are edge-disjoint, so these edges are distinct over all far
+    pairs: the far pairs alone need 2F edges between T and N and F edges
+    inside N.  The argument uses no simplicity, so it holds for trails as
+    well as for simple paths.  A skipped set has no solution, so the search
+    order, the first witness found and its bytes are the same as without
+    the bound.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")
+    if max_t is not None and max_t < 1:
+        raise ValueError("max_t must be positive")
     budget = budget or SearchBudget()
     upper = _eligibility_bound(g)
     if is_bipartite(g)[0]:
@@ -236,16 +290,17 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
     if truncated:
         upper = max_t
     search = _ToiSearch(g, budget)
-    capped = search.cap is not None
+    refuted_completely = True
     for t in range(upper, 0, -1):
         try:
             cert = search.find(t)
         except _BudgetExhausted:
             return SolveResult(1, Certificate(1, (0,)), "timeout", search.nodes)
         if cert is not None:
-            exact = not (capped and t < upper) and not (truncated and t == upper)
+            exact = refuted_completely and not (truncated and t == upper)
             status = "exact" if exact else "lower-bound-only"
             return SolveResult(t, cert, status, search.nodes)
+        refuted_completely = refuted_completely and not search.cap_pruned
     return SolveResult(1, Certificate(1, (0,)), "exact", search.nodes)
 
 

@@ -238,6 +238,14 @@ def test_round_trip_identity_any_size(t):
     '{"pair": [0, 1], "vertices": [0, 1]}]}',
     '{"clique_size": 2, "terminals": [0, 1], "connections": '
     '[{"pair": [0, 7], "vertices": [0, 1]}]}',
+    # JSON booleans load as bool, a subclass of int
+    '{"clique_size": true, "terminals": [0], "connections": []}',
+    '{"clique_size": 2, "terminals": [0, true], "connections": '
+    '[{"pair": [0, 1], "vertices": [0, 1]}]}',
+    '{"clique_size": 2, "terminals": [0, 1], "connections": '
+    '[{"pair": [false, true], "vertices": [0, 1]}]}',
+    '{"clique_size": 2, "terminals": [0, 1], "connections": '
+    '[{"pair": [0, 1], "vertices": [false, 1]}]}',
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(CertificateSchemaError):

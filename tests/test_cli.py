@@ -77,6 +77,14 @@ def test_bad_graph_file(capsys, files, tmp_path):
     assert code == 2
 
 
+def test_duplicate_edge_graph_file(capsys, files, tmp_path):
+    dup = tmp_path / "dup.graph"
+    dup.write_text("p toi 3 2\ne 0 1\ne 0 1\n")
+    code, _, err = run(capsys, "solve", str(dup))
+    assert code == 2
+    assert "duplicate edge" in err
+
+
 # --- verify ----------------------------------------------------------------
 
 def _make_identity_cert(files, capsys):
@@ -243,6 +251,13 @@ def test_solve_timeout_exit_code(capsys, files):
                           "--nodes", "2")
     assert code == 1
     assert json.loads(stdout)["status"] == "timeout"
+
+
+def test_solve_rejects_nonpositive_max_t(capsys, files):
+    code, stdout, err = run(capsys, "solve", files["k4"], "--max-t", "0")
+    assert code == 2
+    assert stdout == ""
+    assert "--max-t" in err
 
 
 def test_check_conjecture_c5(capsys, files):

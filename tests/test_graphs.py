@@ -186,6 +186,7 @@ def test_text_round_trip_random():
     "p toi 3 2\ne 0 1\n",
     "p toi 3 1\ne 1 0\n",
     "p toi 3 1\ne 0 1\ne 0 1\n",
+    "p toi 3 2\ne 0 1\ne 0 1\n",
 ])
 def test_text_format_rejects_malformed(text):
     with pytest.raises(GraphFormatError):

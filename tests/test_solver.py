@@ -1,12 +1,14 @@
 """Exhaustive solver: exact values, budget behavior, chromatic number."""
 
+import hashlib
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import verify
+from toi.certificates import serialize_certificate, verify
 from toi.graphs import (
     Graph,
     cartesian_product,
@@ -18,6 +20,7 @@ from toi.graphs import (
 )
 from toi.solver import (
     SearchBudget,
+    _ToiSearch,
     check_conjecture,
     chromatic_number,
     exact_toi,
@@ -124,6 +127,86 @@ def test_route_length_cap_degrades_status():
     res = exact_toi(g, SearchBudget(max_route_length=1))
     assert res.value == 2  # true value is 3, reachable only via longer routes
     assert res.status == "lower-bound-only"
+
+
+def test_max_t_must_be_positive():
+    with pytest.raises(ValueError):
+        exact_toi(complete_graph(4), max_t=0)
+
+
+def _witness_sha(res):
+    return hashlib.sha256(serialize_certificate(res.witness).encode()).hexdigest()
+
+
+def test_edge_budget_bound_proves_direct_k3_k4():
+    # every K_7 terminal set and all but one failing K_6 set of K3 x K4 need
+    # more edges than its 36; the capped search never cuts a branch
+    res = exact_toi(direct_product(complete_graph(3), complete_graph(4)))
+    assert res.value == 6 and res.status == "exact"
+    assert res.nodes_explored < 50_000
+    assert _witness_sha(res) == ("091e591621af78c4fc75d8116de8de53"
+                                 "8906878c811e8451046a4dce4dd518e1")
+
+
+def test_direct_c5_c5_witness_bytes():
+    res = exact_toi(direct_product(cycle_graph(5), cycle_graph(5)))
+    assert res.value == 5 and res.status == "exact"
+    assert _witness_sha(res) == ("ecd58c8174d4f597e97eedf9e9443b8e"
+                                 "a058a90328a4100c867bceb84c10a8a6")
+
+
+def test_cap_that_never_prunes_keeps_exactness():
+    # m = 25 turns the default route cap on, but no route reaches it
+    res = exact_toi(cartesian_product(cycle_graph(5), path_graph(3)))
+    assert res.value == 4 and res.status == "exact"
+    out = has_toi_clique(direct_product(complete_graph(3), complete_graph(4)), 7)
+    assert out.certificate is None and out.definitive
+
+
+def _differential_graphs():
+    yield from _all_graphs(5)
+    rng = random.Random(2025)
+    pairs = {n: list(itertools.combinations(range(n), 2)) for n in (7, 8)}
+    for _ in range(200):
+        n = rng.choice((7, 8))
+        density = rng.uniform(0.3, 0.8)
+        yield Graph(n, frozenset(e for e in pairs[n] if rng.random() < density))
+
+
+def test_edge_budget_bound_changes_no_answer(monkeypatch):
+    # the bound only skips terminal sets without a solution, so value and
+    # witness bytes match the unpruned search; a status may only get stronger
+    graphs = list(_differential_graphs())
+    pruned = [exact_toi(g) for g in graphs]
+    monkeypatch.setattr(_ToiSearch, "_edge_budget_refutes",
+                        lambda self, subset: False)
+    for g, fast in zip(graphs, pruned):
+        slow = exact_toi(g)
+        assert fast.value == slow.value
+        assert serialize_certificate(fast.witness) == \
+            serialize_certificate(slow.witness)
+        assert fast.status == slow.status or (
+            fast.status, slow.status) == ("exact", "lower-bound-only")
+        assert fast.nodes_explored <= slow.nodes_explored
+
+
+def test_capped_exact_status_is_sound():
+    # a short route cap may hide the answer; "exact" and a definitive
+    # absence must then not be claimed, and the cap only degrades a status
+    # where it actually cut a branch
+    statuses = set()
+    for g in _differential_graphs():
+        truth = exact_toi(g)
+        assert truth.status == "exact"
+        for cap in (1, 3):
+            budget = SearchBudget(max_route_length=cap)
+            res = exact_toi(g, budget)
+            statuses.add(res.status)
+            if res.status == "exact":
+                assert res.value == truth.value
+            out = has_toi_clique(g, truth.value, budget)
+            assert out.certificate is not None or not out.definitive
+    assert statuses == {"exact", "lower-bound-only"}
 
 
 def test_determinism():
