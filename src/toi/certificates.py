@@ -1,9 +1,11 @@
 """Certificates for totally odd strong immersions of complete graphs.
 
 A certificate names ``r`` distinct terminal vertices of a host graph and, for
-every unordered pair of terminals, one connecting route.  Routes are trails
-(edge-distinct walks) rather than forced-simple paths; simplicity and
-strongness are reported as separate verification flags.
+every unordered pair of terminals, one connecting route.  A certificate may
+store trails (walks that repeat no edge but may revisit a vertex); the
+verifier reports simplicity as its own flag, ``routes_simple``.  The
+``totally-odd-strong`` claim, and so ``toi`` as ``exact_toi`` computes it,
+requires simple routes.
 """
 
 from __future__ import annotations
@@ -90,16 +92,20 @@ class Certificate:
             if not (0 <= a < b < self.clique_size):
                 raise ValueError(f"pair ({a}, {b}) is not a valid terminal-index pair")
 
-    def __eq__(self, other):
-        if not isinstance(other, Certificate):
-            return NotImplemented
-        return (self.clique_size == other.clique_size
-                and self.terminals == other.terminals
-                and self.connections == other.connections)
-
 
 _FLAGS = ("terminals_distinct", "complete", "endpoints_ok", "edges_exist",
           "all_odd", "edge_disjoint", "routes_simple", "strong")
+
+# requirement level -> (flags it needs, claim_level name when it is the
+# strongest level met); strongest first
+REQUIREMENT_LEVELS = {
+    "totally-odd-strong": (_FLAGS, "totally-odd-strong"),
+    "totally-odd": (("terminals_distinct", "complete", "endpoints_ok",
+                     "edges_exist", "all_odd", "edge_disjoint"),
+                    "totally-odd-immersion"),
+    "immersion": (("terminals_distinct", "complete", "endpoints_ok",
+                   "edges_exist", "edge_disjoint"), "none"),
+}
 
 
 @dataclass
@@ -121,37 +127,26 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return all(self.flags().values())
+        return self.satisfies("totally-odd-strong")
 
     @property
     def claim_level(self) -> str:
         """'totally-odd-strong', 'totally-odd-immersion', or 'none'."""
-        if self.all_ok:
-            return "totally-odd-strong"
-        core = ("terminals_distinct", "complete", "endpoints_ok",
-                "edges_exist", "all_odd", "edge_disjoint")
-        if all(getattr(self, name) for name in core):
-            return "totally-odd-immersion"
-        return "none"
+        return next((claim for level, (_, claim) in REQUIREMENT_LEVELS.items()
+                     if self.satisfies(level)), "none")
 
     def satisfies(self, level: str) -> bool:
-        required = {
-            "immersion": ("terminals_distinct", "complete", "endpoints_ok",
-                          "edges_exist", "edge_disjoint"),
-            "totally-odd": ("terminals_distinct", "complete", "endpoints_ok",
-                            "edges_exist", "edge_disjoint", "all_odd"),
-            "totally-odd-strong": _FLAGS,
-        }
-        if level not in required:
+        if level not in REQUIREMENT_LEVELS:
             raise ValueError(f"unknown requirement level {level!r}")
-        return all(getattr(self, name) for name in required[level])
+        return all(getattr(self, name) for name in REQUIREMENT_LEVELS[level][0])
 
 
 def verify(host: Graph, cert: Certificate) -> VerificationReport:
     """Compute every flag independently; never short-circuits.
 
-    Raises :class:`MalformedCertificateError` for out-of-range vertex ids;
-    that is an input defect, not a false flag.
+    Each flag's ``first_violation`` entry names the first failure in
+    sorted-pair order.  Raises :class:`MalformedCertificateError` for
+    out-of-range vertex ids; that is an input defect, not a false flag.
     """
     for v in cert.terminals:
         if not (0 <= v < host.n):
@@ -165,86 +160,55 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
     violations = {}
     r = cert.clique_size
 
-    terminals_distinct = len(set(cert.terminals)) == r
-    if not terminals_distinct:
-        seen = set()
-        for v in cert.terminals:
-            if v in seen:
-                violations["terminals_distinct"] = f"terminal {v} repeats"
-                break
-            seen.add(v)
+    seen = set()
+    for v in cert.terminals:
+        if v in seen:
+            violations["terminals_distinct"] = f"terminal {v} repeats"
+            break
+        seen.add(v)
 
     expected_pairs = {(a, b) for a in range(r) for b in range(a + 1, r)}
-    complete = set(cert.connections) == expected_pairs
-    if not complete:
+    if set(cert.connections) != expected_pairs:
         missing = sorted(expected_pairs - set(cert.connections))
         extra = sorted(set(cert.connections) - expected_pairs)
         violations["complete"] = (f"missing pair {missing[0]}" if missing
                                   else f"unexpected pair {extra[0]}")
 
-    endpoints_ok = True
+    terminal_set = set(cert.terminals)
+    host_edges = host.edges
+    used = set()
     for (a, b), route in sorted(cert.connections.items()):
+        verts = route.vertices
         want = {cert.terminals[a], cert.terminals[b]}
-        got = {route.vertices[0], route.vertices[-1]}
+        got = {verts[0], verts[-1]}
         if want != got:
-            endpoints_ok = False
             violations.setdefault(
                 "endpoints_ok",
                 f"pair {(a, b)}: route ends {tuple(sorted(got))}, expected {tuple(sorted(want))}")
-
-    edges_exist = True
-    for (a, b), route in sorted(cert.connections.items()):
-        for u, v in route.edge_set():
-            if not host.has_edge(u, v):
-                edges_exist = False
-                violations.setdefault("edges_exist",
-                                      f"pair {(a, b)}: ({u}, {v}) is not a host edge")
-                break
-
-    all_odd = True
-    for (a, b), route in sorted(cert.connections.items()):
         if not route.is_odd:
-            all_odd = False
             violations.setdefault("all_odd",
                                   f"pair {(a, b)}: route has even length {route.edge_count}")
-
-    edge_disjoint = True
-    used = set()
-    for (a, b), route in sorted(cert.connections.items()):
+        if len(set(verts)) != len(verts):
+            violations.setdefault("routes_simple",
+                                  f"pair {(a, b)}: route revisits a vertex")
+        for v in verts[1:-1]:
+            if v in terminal_set:
+                violations.setdefault("strong",
+                                      f"pair {(a, b)}: terminal {v} interior to route")
+                break
         for e in route.edge_set():
+            if e not in host_edges:
+                violations.setdefault("edges_exist",
+                                      f"pair {(a, b)}: ({e[0]}, {e[1]}) is not a host edge")
             if e in used:
-                edge_disjoint = False
                 violations.setdefault("edge_disjoint",
                                       f"edge {e} reused by pair {(a, b)}")
             used.add(e)
 
-    routes_simple = True
-    for (a, b), route in sorted(cert.connections.items()):
-        if len(set(route.vertices)) != len(route.vertices):
-            routes_simple = False
-            violations.setdefault("routes_simple",
-                                  f"pair {(a, b)}: route revisits a vertex")
-
-    strong = True
-    terminal_set = set(cert.terminals)
-    for (a, b), route in sorted(cert.connections.items()):
-        for v in route.vertices[1:-1]:
-            if v in terminal_set:
-                strong = False
-                violations.setdefault("strong",
-                                      f"pair {(a, b)}: terminal {v} interior to route")
-                break
-
     return VerificationReport(
-        terminals_distinct=terminals_distinct,
-        complete=complete,
-        endpoints_ok=endpoints_ok,
-        edges_exist=edges_exist,
-        all_odd=all_odd,
-        edge_disjoint=edge_disjoint,
-        routes_simple=routes_simple,
-        strong=strong,
-        first_violation=violations,
+        **{name: name not in violations for name in _FLAGS},
+        first_violation={name: violations[name]
+                         for name in _FLAGS if name in violations},
     )
 
 

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional
 
 from .certificates import (
+    REQUIREMENT_LEVELS,
     Certificate,
     CertificateSchemaError,
     MalformedCertificateError,
@@ -54,20 +54,6 @@ _PRODUCTS = {
 
 class _UsageError(Exception):
     pass
-
-
-def _solver_threads() -> int:
-    """Worker cap from TOI_THREADS; the solver currently runs on one."""
-    raw = os.environ.get("TOI_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise _UsageError(f"TOI_THREADS must be a positive integer, got {raw!r}")
-    if cap < 1:
-        raise _UsageError(f"TOI_THREADS must be a positive integer, got {raw!r}")
-    return cap
 
 
 def _read_graph(path: str) -> Graph:
@@ -232,7 +218,6 @@ def _budget(args) -> SearchBudget:
 
 
 def _cmd_solve(args) -> int:
-    _solver_threads()
     if args.max_t is not None and args.max_t < 1:
         raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read_graph(args.graph)
@@ -253,7 +238,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_conjecture(args) -> int:
-    _solver_threads()
     g = _read_graph(args.graph)
     outcome = check_conjecture(g, _budget(args))
     satisfied = outcome.satisfied
@@ -299,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("cert")
     p.add_argument("--require", default="totally-odd-strong",
-                   choices=["immersion", "totally-odd", "totally-odd-strong"])
+                   choices=sorted(REQUIREMENT_LEVELS))
     p.set_defaults(func=_cmd_verify)
 
     c = sub.add_parser("construct", help="build a certificate constructively")

@@ -83,27 +83,34 @@ def _effective_cap(g: Graph, budget: SearchBudget) -> Optional[int]:
     return cap
 
 
-class _ToiSearch:
-    def __init__(self, g: Graph, budget: SearchBudget):
-        self.g = g
-        self.budget = budget
-        self.cap = _effective_cap(g, budget)
+class _Ticker:
+    """Search node counter that enforces a budget's node and time limits."""
+
+    def __init__(self, budget: SearchBudget):
+        self.max_nodes = budget.max_nodes
         self.nodes = 0
         self.deadline = (time.monotonic() + budget.time_limit
                          if budget.time_limit is not None else None)
+
+    def tick(self):
+        self.nodes += 1
+        if self.nodes > self.max_nodes:
+            raise _BudgetExhausted
+        if self.deadline is not None and self.nodes % 256 == 0:
+            if time.monotonic() > self.deadline:
+                raise _BudgetExhausted
+
+
+class _ToiSearch:
+    def __init__(self, g: Graph, budget: SearchBudget):
+        self.g = g
+        self.cap = _effective_cap(g, budget)
+        self.ticker = _Ticker(budget)
         self.edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
         self.adj_mask = [sum(1 << w for w in nbrs) for nbrs in self.adj]
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.budget.max_nodes:
-            raise _BudgetExhausted
-        if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
-                raise _BudgetExhausted
 
     def _routes(self, src: int, dst: int, used: int, terminals: frozenset):
         """Yield simple odd routes from src to dst avoiding used edges and
@@ -116,9 +123,10 @@ class _ToiSearch:
         cap = self.cap if self.cap is not None else self.g.m
         path = [start]
         visited = {start}
+        tick = self.ticker.tick
 
         def dfs(v, mask, length):
-            self._tick()
+            tick()
             for w in self.adj[v]:
                 eidx = self.edge_index[(v, w) if v < w else (w, v)]
                 bit = 1 << eidx
@@ -158,7 +166,7 @@ class _ToiSearch:
         order = sorted(eligible, key=lambda v: (-len(self.adj[v]), v))
         pairs = list(itertools.combinations(range(t), 2))
         for combo in itertools.combinations(order, t):
-            self._tick()
+            self.ticker.tick()
             subset = tuple(sorted(combo))
             if self._edge_budget_refutes(subset):
                 continue
@@ -246,9 +254,9 @@ def has_toi_clique(g: Graph, t: int,
     try:
         cert = search.find(t)
     except _BudgetExhausted:
-        return CliqueSearchOutcome(None, False, search.nodes)
+        return CliqueSearchOutcome(None, False, search.ticker.nodes)
     definitive = cert is not None or not search.cap_pruned
-    return CliqueSearchOutcome(cert, definitive, search.nodes)
+    return CliqueSearchOutcome(cert, definitive, search.ticker.nodes)
 
 
 def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
@@ -295,13 +303,14 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         try:
             cert = search.find(t)
         except _BudgetExhausted:
-            return SolveResult(1, Certificate(1, (0,)), "timeout", search.nodes)
+            return SolveResult(1, Certificate(1, (0,)), "timeout",
+                               search.ticker.nodes)
         if cert is not None:
             exact = refuted_completely and not (truncated and t == upper)
             status = "exact" if exact else "lower-bound-only"
-            return SolveResult(t, cert, status, search.nodes)
+            return SolveResult(t, cert, status, search.ticker.nodes)
         refuted_completely = refuted_completely and not search.cap_pruned
-    return SolveResult(1, Certificate(1, (0,)), "exact", search.nodes)
+    return SolveResult(1, Certificate(1, (0,)), "exact", search.ticker.nodes)
 
 
 def _greedy_clique(g: Graph) -> int:
@@ -336,27 +345,28 @@ def _dsatur(g: Graph):
     return colors, (max(colors) + 1 if g.n else 0)
 
 
-def _k_colorable(g: Graph, k: int, search: "_ToiSearch") -> bool:
+def _k_colorable(g: Graph, k: int, ticker: _Ticker) -> bool:
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
     colors = {}
 
-    def bt(idx):
-        search._tick()
+    def bt(idx, in_use):
+        """Colour order[idx:] given colours 0..in_use-1 on order[:idx]; a
+        vertex may open at most one new colour (symmetry breaking)."""
+        ticker.tick()
         if idx == g.n:
             return True
         v = order[idx]
         used_colors = {colors[w] for w in g.adjacency[v] if w in colors}
-        limit = min(k, (max(colors.values()) + 2) if colors else 1)
-        for c in range(limit):
+        for c in range(min(k, in_use + 1)):
             if c in used_colors:
                 continue
             colors[v] = c
-            if bt(idx + 1):
+            if bt(idx + 1, max(in_use, c + 1)):
                 return True
             del colors[v]
         return False
 
-    return bt(0)
+    return bt(0, 0)
 
 
 def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveResult:
@@ -364,19 +374,18 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveRe
     lower bound and a DSATUR upper bound."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
-    budget = budget or SearchBudget()
-    search = _ToiSearch(g, budget)
+    ticker = _Ticker(budget or SearchBudget())
     lb = _greedy_clique(g)
     _, ub = _dsatur(g)
     value = ub
     try:
         for k in range(lb, ub):
-            if _k_colorable(g, k, search):
+            if _k_colorable(g, k, ticker):
                 value = k
                 break
     except _BudgetExhausted:
-        return SolveResult(ub, None, "timeout", search.nodes)
-    return SolveResult(value, None, "exact", search.nodes)
+        return SolveResult(ub, None, "timeout", ticker.nodes)
+    return SolveResult(value, None, "exact", ticker.nodes)
 
 
 @dataclass

@@ -15,7 +15,7 @@ from toi.certificates import (
     serialize_certificate,
     verify,
 )
-from toi.graphs import complete_graph, cycle_graph, path_graph
+from toi.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 
 def test_route_basics():
@@ -202,6 +202,98 @@ def test_satisfies_rejects_unknown_level():
     rep = verify(complete_graph(3), identity_certificate(complete_graph(3)))
     with pytest.raises(ValueError):
         rep.satisfies("weak")
+
+
+def test_first_violation_pins_every_flag():
+    # one certificate failing all eight flags; the text and the key order
+    # are what `toi verify` and `toi construct` print
+    host = Graph(6, complete_graph(6).edges - {(4, 5)})
+    cert = Certificate(4, (0, 1, 1, 3), {
+        (0, 1): Route((0, 4, 5, 1)),
+        (0, 2): Route((0, 2, 1)),
+        (1, 3): Route((1, 4, 0, 4, 3)),
+        (2, 3): Route((2, 3)),
+    })
+    rep = verify(host, cert)
+    assert not any(rep.flags().values())
+    assert list(rep.first_violation.items()) == [
+        ("terminals_distinct", "terminal 1 repeats"),
+        ("complete", "missing pair (0, 3)"),
+        ("endpoints_ok", "pair (2, 3): route ends (2, 3), expected (1, 3)"),
+        ("edges_exist", "pair (0, 1): (4, 5) is not a host edge"),
+        ("all_odd", "pair (0, 2): route has even length 2"),
+        ("edge_disjoint", "edge (0, 4) reused by pair (1, 3)"),
+        ("routes_simple", "pair (1, 3): route revisits a vertex"),
+        ("strong", "pair (1, 3): terminal 0 interior to route"),
+    ]
+
+
+_K4_ROUTES = dict(identity_certificate(complete_graph(4)).connections)
+
+
+@pytest.mark.parametrize("changes, failed, level, met", [
+    ({}, [], "totally-odd-strong",
+     ["immersion", "totally-odd", "totally-odd-strong"]),
+    ({(0, 1): Route((0, 4, 5, 6, 4, 1))}, ["routes_simple"],
+     "totally-odd-immersion", ["immersion", "totally-odd"]),
+    ({(0, 1): Route((0, 4, 2, 5, 6, 1))}, ["strong"],
+     "totally-odd-immersion", ["immersion", "totally-odd"]),
+    ({(0, 1): Route((0, 4, 1))}, ["all_odd"], "none", ["immersion"]),
+    ({(0, 1): Route((0, 4, 5, 1)), (0, 2): Route((0, 4, 5, 2))},
+     ["edge_disjoint"], "none", []),
+    ({(1, 2): None}, ["complete"], "none", []),
+], ids=["all", "trail", "weak", "even", "shared", "missing"])
+def test_claim_level_boundaries(changes, failed, level, met):
+    conns = dict(_K4_ROUTES)
+    for pair, route in changes.items():
+        if route is None:
+            del conns[pair]
+        else:
+            conns[pair] = route
+    rep = verify(complete_graph(7), Certificate(4, (0, 1, 2, 3), conns))
+    assert [name for name, ok in rep.flags().items() if not ok] == failed
+    assert rep.claim_level == level
+    assert [lv for lv in ("immersion", "totally-odd", "totally-odd-strong")
+            if rep.satisfies(lv)] == met
+    assert rep.all_ok == (level == "totally-odd-strong")
+    with pytest.raises(ValueError):
+        rep.satisfies("bogus")
+
+
+@st.composite
+def _small_certificates(draw):
+    """A random host on at most 6 vertices and a possibly faulty
+    certificate: terminals may repeat, pairs may be missing, and routes
+    may miss their terminals, leave the host or reuse edges."""
+    n = draw(st.integers(2, 6))
+    edges = draw(st.sets(st.sampled_from(
+        [(u, v) for u in range(n) for v in range(u + 1, n)])))
+    r = draw(st.integers(1, 4))
+    terminals = tuple(draw(st.lists(st.integers(0, n - 1),
+                                    min_size=r, max_size=r)))
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)
+                  if pairs else st.just([]))
+    vertex = st.integers(0, n - 1)
+    connections = {}
+    for a, b in chosen:
+        start = terminals[a] if draw(st.booleans()) else draw(vertex)
+        end = terminals[b] if draw(st.booleans()) else draw(vertex)
+        walk = [start, *draw(st.lists(vertex, max_size=4)), end]
+        verts = [v for i, v in enumerate(walk) if i == 0 or v != walk[i - 1]]
+        if len(verts) >= 2:
+            connections[(a, b)] = Route(tuple(verts))
+    return Graph(n, frozenset(edges)), Certificate(r, terminals, connections)
+
+
+@given(_small_certificates())
+@settings(max_examples=300, deadline=None)
+def test_first_violation_names_exactly_the_false_flags(case):
+    host, cert = case
+    rep = verify(host, cert)
+    assert list(rep.first_violation) == [
+        name for name, ok in rep.flags().items() if not ok]
+    assert rep.all_ok == rep.satisfies("totally-odd-strong")
 
 
 def test_serialization_round_trip():

@@ -292,11 +292,3 @@ def test_json_schema_stable(capsys, files):
     assert code == 0
     assert sorted(json.loads(stdout)) == ["chi", "command", "satisfied", "toi"]
 
-
-def test_toi_threads_env_validated(capsys, files, monkeypatch):
-    monkeypatch.setenv("TOI_THREADS", "zero")
-    code, _, err = run(capsys, "solve", files["k2"])
-    assert code == 2
-    assert "TOI_THREADS" in err
-    monkeypatch.setenv("TOI_THREADS", "2")
-    assert run(capsys, "solve", files["k2"])[0] == 0
