@@ -11,6 +11,7 @@ requires simple routes.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -25,18 +26,19 @@ class MalformedCertificateError(ValueError):
     """A certificate references vertices outside the host graph."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Route:
     """A walk given by its vertex sequence; edge count = len(vertices) - 1."""
 
     vertices: tuple
 
     def __post_init__(self):
-        if len(self.vertices) < 2:
+        vs = self.vertices
+        if len(vs) < 2:
             raise ValueError("a route needs at least one edge")
-        for a, b in zip(self.vertices, self.vertices[1:]):
-            if a == b:
-                raise ValueError(f"route repeats vertex {a} immediately")
+        if any(map(operator.eq, vs, vs[1:])):
+            a = next(a for a, b in zip(vs, vs[1:]) if a == b)
+            raise ValueError(f"route repeats vertex {a} immediately")
 
     @property
     def edge_count(self) -> int:
@@ -146,64 +148,78 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
 
     Each flag's ``first_violation`` entry names the first failure in
     sorted-pair order.  Raises :class:`MalformedCertificateError` for
-    out-of-range vertex ids; that is an input defect, not a false flag.
+    out-of-range vertex ids or pair keys; that is an input defect, not a
+    false flag.
     """
-    for v in cert.terminals:
-        if not (0 <= v < host.n):
-            raise MalformedCertificateError(f"terminal {v} outside host (n={host.n})")
+    n = host.n
+    r = cert.clique_size
+    terminals = cert.terminals
+    for v in terminals:
+        if not (0 <= v < n):
+            raise MalformedCertificateError(f"terminal {v} outside host (n={n})")
+    # connections is a plain dict, so keys added after construction are
+    # checked here too
     for pair, route in cert.connections.items():
-        for v in route.vertices:
-            if not (0 <= v < host.n):
-                raise MalformedCertificateError(
-                    f"route for pair {pair} visits vertex {v} outside host (n={host.n})")
+        a, b = pair
+        if not (0 <= a < b < r):
+            raise MalformedCertificateError(
+                f"pair {pair} is not a valid terminal-index pair")
+        verts = route.vertices
+        if min(verts) < 0 or max(verts) >= n:
+            v = next(v for v in verts if not (0 <= v < n))
+            raise MalformedCertificateError(
+                f"route for pair {pair} visits vertex {v} outside host (n={n})")
 
     violations = {}
-    r = cert.clique_size
-
     seen = set()
-    for v in cert.terminals:
+    for v in terminals:
         if v in seen:
             violations["terminals_distinct"] = f"terminal {v} repeats"
             break
         seen.add(v)
 
-    expected_pairs = {(a, b) for a in range(r) for b in range(a + 1, r)}
-    if set(cert.connections) != expected_pairs:
-        missing = sorted(expected_pairs - set(cert.connections))
-        extra = sorted(set(cert.connections) - expected_pairs)
-        violations["complete"] = (f"missing pair {missing[0]}" if missing
-                                  else f"unexpected pair {extra[0]}")
-
-    terminal_set = set(cert.terminals)
+    terminal_set = set(terminals)
+    connections = cert.connections
     host_edges = host.edges
-    used = set()
-    for (a, b), route in sorted(cert.connections.items()):
-        verts = route.vertices
-        want = {cert.terminals[a], cert.terminals[b]}
-        got = {verts[0], verts[-1]}
-        if want != got:
-            violations.setdefault(
-                "endpoints_ok",
-                f"pair {(a, b)}: route ends {tuple(sorted(got))}, expected {tuple(sorted(want))}")
-        if not route.is_odd:
-            violations.setdefault("all_odd",
-                                  f"pair {(a, b)}: route has even length {route.edge_count}")
-        if len(set(verts)) != len(verts):
-            violations.setdefault("routes_simple",
-                                  f"pair {(a, b)}: route revisits a vertex")
-        for v in verts[1:-1]:
-            if v in terminal_set:
-                violations.setdefault("strong",
-                                      f"pair {(a, b)}: terminal {v} interior to route")
-                break
-        for e in route.edge_set():
-            if e not in host_edges:
-                violations.setdefault("edges_exist",
-                                      f"pair {(a, b)}: ({e[0]}, {e[1]}) is not a host edge")
-            if e in used:
-                violations.setdefault("edge_disjoint",
-                                      f"edge {e} reused by pair {(a, b)}")
-            used.add(e)
+    used = set()  # edges as int keys lo * n + hi
+    for a in range(r):
+        ta = terminals[a]
+        for b in range(a + 1, r):
+            route = connections.get((a, b))
+            if route is None:
+                violations.setdefault("complete", f"missing pair {(a, b)}")
+                continue
+            verts = route.vertices
+            tb = terminals[b]
+            first, last = verts[0], verts[-1]
+            if not ((first == ta and last == tb) or (first == tb and last == ta)):
+                violations.setdefault(
+                    "endpoints_ok",
+                    f"pair {(a, b)}: route ends {tuple(sorted({first, last}))}, "
+                    f"expected {tuple(sorted({ta, tb}))}")
+            if len(verts) % 2:
+                violations.setdefault(
+                    "all_odd", f"pair {(a, b)}: route has even length {len(verts) - 1}")
+            if len(verts) > 2:
+                if len(set(verts)) != len(verts):
+                    violations.setdefault("routes_simple",
+                                          f"pair {(a, b)}: route revisits a vertex")
+                interior = verts[1:-1]
+                if not terminal_set.isdisjoint(interior):
+                    v = next(v for v in interior if v in terminal_set)
+                    violations.setdefault("strong",
+                                          f"pair {(a, b)}: terminal {v} interior to route")
+            u = first
+            for v in verts[1:]:
+                lo, hi = (u, v) if u < v else (v, u)
+                if (lo, hi) not in host_edges:
+                    violations.setdefault(
+                        "edges_exist", f"pair {(a, b)}: ({lo}, {hi}) is not a host edge")
+                if lo * n + hi in used:
+                    violations.setdefault("edge_disjoint",
+                                          f"edge {(lo, hi)} reused by pair {(a, b)}")
+                used.add(lo * n + hi)
+                u = v
 
     return VerificationReport(
         **{name: name not in violations for name in _FLAGS},
@@ -222,29 +238,25 @@ def identity_certificate(host: Graph) -> Certificate:
 
 
 def serialize_certificate(cert: Certificate) -> str:
-    """Canonical JSON text: pairs sorted lexicographically, one object per line."""
+    """Canonical JSON text: ``clique_size``, ``terminals``, then one
+    ``{"pair": [a, b], "vertices": [...]}`` connection object per line in
+    ascending pair order, with ``", "`` and ``": "`` separators."""
     lines = ["{",
              f'"clique_size": {cert.clique_size},',
              f'"terminals": {json.dumps(list(cert.terminals))},',
              '"connections": [']
-    items = sorted(cert.connections.items())
-    for idx, ((a, b), route) in enumerate(items):
-        obj = json.dumps({"pair": [a, b], "vertices": list(route.vertices)},
-                         separators=(", ", ": "))
-        lines.append(obj + ("," if idx + 1 < len(items) else ""))
-    lines.append("]")
-    lines.append("}")
+    if cert.connections:
+        lines.append(",\n".join(
+            '{"pair": [%d, %d], "vertices": [%s]}' % (a, b, ", ".join(map(str, route.vertices)))
+            for (a, b), route in sorted(cert.connections.items())))
+    lines += ["]", "}"]
     return "\n".join(lines) + "\n"
 
 
-def _require(cond, msg):
+def _require(cond, msg, *args):
+    """Raise ``msg % args`` unless ``cond``; the text is built only on failure."""
     if not cond:
-        raise CertificateSchemaError(msg)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer; ``true``/``false`` load as bool, a subclass of int."""
-    return isinstance(x, int) and not isinstance(x, bool)
+        raise CertificateSchemaError(msg % args)
 
 
 def parse_certificate(text: str) -> Certificate:
@@ -258,38 +270,38 @@ def parse_certificate(text: str) -> Certificate:
     except json.JSONDecodeError as exc:
         raise CertificateSchemaError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
-    _require(_is_int(doc.get("clique_size")) and doc["clique_size"] >= 1,
+    _require(type(doc.get("clique_size")) is int and doc["clique_size"] >= 1,
              "clique_size: must be a positive integer")
     r = doc["clique_size"]
     terminals = doc.get("terminals")
     _require(isinstance(terminals, list) and len(terminals) == r,
-             f"terminals: expected a list of {r} vertex ids")
+             "terminals: expected a list of %d vertex ids", r)
     for i, v in enumerate(terminals):
-        _require(_is_int(v) and v >= 0, f"terminals[{i}]: bad vertex id {v!r}")
+        _require(type(v) is int and v >= 0, "terminals[%d]: bad vertex id %r", i, v)
     conns_doc = doc.get("connections")
     _require(isinstance(conns_doc, list), "connections: expected a list")
     connections = {}
     for i, entry in enumerate(conns_doc):
-        where = f"connections[{i}]"
-        _require(isinstance(entry, dict), f"{where}: expected an object")
+        _require(isinstance(entry, dict), "connections[%d]: expected an object", i)
         pair = entry.get("pair")
         _require(isinstance(pair, list) and len(pair) == 2
-                 and all(_is_int(x) for x in pair),
-                 f"{where}.pair: expected two terminal indices")
+                 and type(pair[0]) is int and type(pair[1]) is int,
+                 "connections[%d].pair: expected two terminal indices", i)
         a, b = pair
-        _require(0 <= a < b < r, f"{where}.pair: ({a}, {b}) is not a valid pair")
-        _require((a, b) not in connections, f"{where}.pair: duplicate pair ({a}, {b})")
+        _require(0 <= a < b < r, "connections[%d].pair: (%d, %d) is not a valid pair", i, a, b)
+        _require((a, b) not in connections,
+                 "connections[%d].pair: duplicate pair (%d, %d)", i, a, b)
         verts = entry.get("vertices")
         _require(isinstance(verts, list) and len(verts) >= 2,
-                 f"{where}.vertices: expected at least two vertex ids")
+                 "connections[%d].vertices: expected at least two vertex ids", i)
         for j, v in enumerate(verts):
-            _require(_is_int(v) and v >= 0,
-                     f"{where}.vertices[{j}]: bad vertex id {v!r}")
+            _require(type(v) is int and v >= 0,
+                     "connections[%d].vertices[%d]: bad vertex id %r", i, j, v)
         try:
             connections[(a, b)] = Route(tuple(verts))
         except ValueError as exc:
-            raise CertificateSchemaError(f"{where}.vertices: {exc}") from None
+            raise CertificateSchemaError(f"connections[{i}].vertices: {exc}") from None
     for a in range(r):
         for b in range(a + 1, r):
-            _require((a, b) in connections, f"connections: missing pair ({a}, {b})")
+            _require((a, b) in connections, "connections: missing pair (%d, %d)", a, b)
     return Certificate(r, tuple(terminals), connections)

@@ -9,6 +9,7 @@ against products are byte-stable.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -47,12 +48,11 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        for e in self.edges:
-            u, v = e
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge {e} is not canonical or out of range")
+        for u, v in self.edges:
+            if not 0 <= u < v < self.n:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                raise ValueError(f"edge {(u, v)} is not canonical or out of range")
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels must cover every vertex")
@@ -133,6 +133,8 @@ def _check_factors(g: Graph, h: Graph):
         raise ValueError("product factors must be nonempty")
 
 
+# Factor edges are canonical, so the products below emit every edge with
+# u < v and pass them to Graph without _make's min/max.
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """(g1,h1) ~ (g2,h2) iff they agree in one coordinate and step in the other."""
     _check_factors(g, h)
@@ -144,7 +146,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for hv in range(h.n):
         for a, b in g.edges:
             edges.append((a * nh + hv, b * nh + hv))
-    return _make(g.n * nh, edges, name=f"{g.name}[]{h.name}",
+    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}[]{h.name}",
                  labels=_product_labels(g.n, nh))
 
 
@@ -157,7 +159,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
         for c, d in h.edges:
             edges.append((a * nh + c, b * nh + d))
             edges.append((a * nh + d, b * nh + c))
-    return _make(g.n * nh, edges, name=f"{g.name}x{h.name}",
+    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}x{h.name}",
                  labels=_product_labels(g.n, nh))
 
 
@@ -173,7 +175,7 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     for gv in range(g.n):
         for c, d in h.edges:
             edges.append((gv * nh + c, gv * nh + d))
-    return _make(g.n * nh, edges, name=f"{g.name}o{h.name}",
+    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}o{h.name}",
                  labels=_product_labels(g.n, nh))
 
 
@@ -182,7 +184,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     _check_factors(g, h)
     cart = cartesian_product(g, h)
     direct = direct_product(g, h)
-    return _make(g.n * h.n, cart.edges | direct.edges, name=f"{g.name}*{h.name}",
+    return Graph(g.n * h.n, cart.edges | direct.edges, name=f"{g.name}*{h.name}",
                  labels=_product_labels(g.n, h.n))
 
 
@@ -234,12 +236,16 @@ def find_p3_center(h: Graph):
 
 
 def write_graph_text(g: Graph) -> str:
+    """The ``p toi`` text of ``g``: the problem line, then one ``e u v`` line
+    per edge ascending by ``(u, v)``, then, for a labeled graph, one
+    ``l v g h`` line per vertex ascending by ``v``."""
     lines = [f"p toi {g.n} {g.m}"]
-    for u, v in sorted(g.edges):
-        lines.append(f"e {u} {v}")
+    for u, nbrs in enumerate(g.adjacency):
+        higher = nbrs[bisect_right(nbrs, u):]
+        if higher:
+            lines.append(f"e {u} " + f"\ne {u} ".join(map(str, higher)))
     if g.labels is not None:
-        for v, (a, b) in enumerate(g.labels):
-            lines.append(f"l {v} {a} {b}")
+        lines.extend(f"l {v} {a} {b}" for v, (a, b) in enumerate(g.labels))
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,8 @@
 """Certificate model, verification flags, serialization, mutation soundness."""
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from toi.certificates import (
     serialize_certificate,
     verify,
 )
+from toi.constructions import direct_kts
 from toi.graphs import Graph, complete_graph, cycle_graph, path_graph
 
 
@@ -362,3 +366,92 @@ def test_certificate_permits_missing_pairs():
 def test_certificate_rejects_out_of_range_pair_keys():
     with pytest.raises(ValueError):
         Certificate(2, (0, 1), {(0, 2): Route((0, 1))})
+
+
+def test_serialized_bytes_are_pinned():
+    text = serialize_certificate(direct_kts(6, 5))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5ecc1fcc24d242dc9b11a1a13516625a660463c0ce9313f284e1c4b66392b0dd")
+
+
+def _reference_line(pair, route):
+    """The connection line format, spelled with json.dumps."""
+    return json.dumps({"pair": list(pair), "vertices": list(route.vertices)},
+                      separators=(", ", ": "))
+
+
+@st.composite
+def _complete_certificates(draw):
+    """A complete certificate with random terminals and routes; the
+    routes need not lie in any host, since serialization ignores it."""
+    r = draw(st.integers(1, 6))
+    terminals = tuple(draw(st.lists(st.integers(0, 10 ** 6),
+                                    min_size=r, max_size=r)))
+    vertex = st.integers(0, 10 ** 6)
+    connections = {}
+    for a in range(r):
+        for b in range(a + 1, r):
+            walk = draw(st.lists(vertex, min_size=2, max_size=6))
+            verts = [v for i, v in enumerate(walk) if i == 0 or v != walk[i - 1]]
+            if len(verts) < 2:
+                verts = [verts[0], verts[0] + 1]
+            connections[(a, b)] = Route(tuple(verts))
+    order = draw(st.permutations(list(connections)))
+    return Certificate(r, terminals, {p: connections[p] for p in order})
+
+
+@given(_complete_certificates())
+@settings(max_examples=200, deadline=None)
+def test_certificate_text_round_trip(cert):
+    text = serialize_certificate(cert)
+    assert parse_certificate(text) == cert
+    lines = text.splitlines()
+    start = lines.index('"connections": [') + 1
+    items = sorted(cert.connections.items())
+    want = [_reference_line(p, route) + ("," if i + 1 < len(items) else "")
+            for i, (p, route) in enumerate(items)]
+    assert lines[start:len(lines) - 2] == want
+    assert lines[-2:] == ["]", "}"]
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Route((1, 2, 2, 3)), ValueError,
+     "route repeats vertex 2 immediately"),
+    (lambda: parse_certificate(
+        '{"clique_size": 2, "terminals": [0, 1], "connections": '
+        '[{"pair": [0, 1], "vertices": [0, -1, 1]}]}'),
+     CertificateSchemaError, "connections[0].vertices[1]: bad vertex id -1"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((0, 7, 2, 9, 1))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 7 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((0, 2, -4, 1))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex -4 outside host (n=3)"),
+], ids=["route-repeat", "parse-vertex", "verify-high", "verify-negative"])
+def test_error_messages(build, error, message):
+    with pytest.raises(error) as err:
+        build()
+    assert str(err.value) == message
+
+
+def test_edges_exist_names_edge_low_high():
+    # the route walks the non-edge 3 -> 1 of C5 from high to low
+    cert = Certificate(2, (3, 0), {(0, 1): Route((3, 1, 0))})
+    rep = verify(cycle_graph(5), cert)
+    assert rep.first_violation == {
+        "edges_exist": "pair (0, 1): (1, 3) is not a host edge",
+        "all_odd": "pair (0, 1): route has even length 2",
+    }
+
+
+@pytest.mark.parametrize("pair", [(0, 5), (1, 0)])
+def test_verify_rejects_pair_key_added_after_construction(pair):
+    # connections is a plain dict, so a key added later skips the range
+    # check of Certificate.__post_init__; verify must still reject it
+    cert = identity_certificate(complete_graph(2))
+    cert.connections[pair] = Route((0, 1))
+    with pytest.raises(MalformedCertificateError) as err:
+        verify(complete_graph(2), cert)
+    assert str(pair) in str(err.value)

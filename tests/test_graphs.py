@@ -1,5 +1,6 @@
 """Graph model, products, bipartiteness, and the text format."""
 
+import hashlib
 import itertools
 import random
 
@@ -196,3 +197,51 @@ def test_text_format_rejects_malformed(text):
 def test_text_format_ignores_comments():
     g = read_graph_text("c hello\np toi 2 1\nc mid\ne 0 1\n")
     assert g.n == 2 and g.m == 1
+
+
+@pytest.mark.parametrize("edges, message", [
+    ({(1, 1)}, "self-loop at vertex 1"),
+    ({(2, 1)}, "edge (2, 1) is not canonical or out of range"),
+    ({(0, 5)}, "edge (0, 5) is not canonical or out of range"),
+    ({(-1, 2)}, "edge (-1, 2) is not canonical or out of range"),
+])
+def test_graph_validation_messages(edges, message):
+    with pytest.raises(ValueError) as err:
+        Graph(3, frozenset(edges))
+    assert str(err.value) == message
+
+
+def test_graph_text_bytes_are_pinned():
+    text = write_graph_text(direct_product(complete_graph(12), complete_graph(5)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "3e9ba6d068751df99f373b3ee3886dc32790a3c745cfaeaf5f31352975899b67")
+
+
+_PRODUCTS = [cartesian_product, direct_product, lexicographic_product,
+             strong_product]
+
+
+@st.composite
+def _graphs(draw, max_n=7):
+    n = draw(st.integers(1, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.sets(st.sampled_from(pairs)) if pairs else st.just(set()))
+    return Graph(n, frozenset(edges))
+
+
+@given(st.one_of(
+    _graphs(max_n=12),
+    st.builds(lambda op, g, h: op(g, h),
+              st.sampled_from(_PRODUCTS), _graphs(), _graphs())))
+@settings(max_examples=200, deadline=None)
+def test_graph_text_round_trip(g):
+    text = write_graph_text(g)
+    back = read_graph_text(text)
+    assert (back.n, back.edges, back.labels) == (g.n, g.edges, g.labels)
+    records = [line.split() for line in text.splitlines()[1:]]
+    edge_lines = [(int(u), int(v)) for tag, u, v, *_ in records if tag == "e"]
+    label_lines = [int(v) for tag, v, *_ in records if tag == "l"]
+    assert edge_lines == sorted(g.edges)
+    assert label_lines == list(range(g.n if g.labels else 0))
+    assert [rec[0] for rec in records] == (
+        ["e"] * len(edge_lines) + ["l"] * len(label_lines))
