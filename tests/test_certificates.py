@@ -421,6 +421,10 @@ def test_certificate_text_round_trip(cert):
         '{"clique_size": 2, "terminals": [0, 1], "connections": '
         '[{"pair": [0, 1], "vertices": [0, -1, 1]}]}'),
      CertificateSchemaError, "connections[0].vertices[1]: bad vertex id -1"),
+    (lambda: parse_certificate(
+        '{"clique_size": 2, "terminals": [0, 1], "connections": '
+        '[{"pair": [0, 1], "vertices": [0, "2", 1]}]}'),
+     CertificateSchemaError, "connections[0].vertices[1]: bad vertex id '2'"),
     (lambda: verify(complete_graph(3), Certificate(
         2, (0, 1), {(0, 1): Route((0, 7, 2, 9, 1))})),
      MalformedCertificateError,
@@ -429,7 +433,12 @@ def test_certificate_text_round_trip(cert):
         2, (0, 1), {(0, 1): Route((0, 2, -4, 1))})),
      MalformedCertificateError,
      "route for pair (0, 1) visits vertex -4 outside host (n=3)"),
-], ids=["route-repeat", "parse-vertex", "verify-high", "verify-negative"])
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((0, 2, 3, 1))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 3 outside host (n=3)"),
+], ids=["route-repeat", "parse-vertex", "parse-string", "verify-high",
+        "verify-negative", "verify-n"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:
         build()
@@ -446,7 +455,7 @@ def test_edges_exist_names_edge_low_high():
     }
 
 
-@pytest.mark.parametrize("pair", [(0, 5), (1, 0)])
+@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1)])
 def test_verify_rejects_pair_key_added_after_construction(pair):
     # connections is a plain dict, so a key added later skips the range
     # check of Certificate.__post_init__; verify must still reject it
