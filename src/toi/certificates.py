@@ -294,14 +294,20 @@ def parse_certificate(text: str) -> Certificate:
         verts = entry.get("vertices")
         _require(isinstance(verts, list) and len(verts) >= 2,
                  "connections[%d].vertices: expected at least two vertex ids", i)
-        for j, v in enumerate(verts):
-            _require(type(v) is int and v >= 0,
-                     "connections[%d].vertices[%d]: bad vertex id %r", i, j, v)
+        # one bulk test per route; the first bad id is looked up on failure
+        if set(map(type, verts)) != {int} or min(verts) < 0:
+            j, v = next((j, v) for j, v in enumerate(verts)
+                        if type(v) is not int or v < 0)
+            raise CertificateSchemaError(
+                f"connections[{i}].vertices[{j}]: bad vertex id {v!r}")
         try:
             connections[(a, b)] = Route(tuple(verts))
         except ValueError as exc:
             raise CertificateSchemaError(f"connections[{i}].vertices: {exc}") from None
-    for a in range(r):
-        for b in range(a + 1, r):
-            _require((a, b) in connections, "connections: missing pair (%d, %d)", a, b)
+    # every key is a distinct pair 0 <= a < b < r, so the count alone
+    # tells whether one is missing
+    if len(connections) != r * (r - 1) // 2:
+        a, b = next((a, b) for a in range(r) for b in range(a + 1, r)
+                    if (a, b) not in connections)
+        raise CertificateSchemaError(f"connections: missing pair ({a}, {b})")
     return Certificate(r, tuple(terminals), connections)

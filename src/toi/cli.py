@@ -4,11 +4,19 @@ Exit codes: 0 success, 1 well-formed negative answer (failed verification,
 timeout, indeterminate conjecture), 2 usage or format error.  Every command
 is deterministic; ``--json`` replaces the human report with a single JSON
 object on standard output.
+
+Each command runs with the cyclic garbage collector paused.  A command
+builds large acyclic structures (a host graph's edge set, tens of thousands
+of routes and their tuples), which the collector would rescan again and
+again for cycles it cannot find; reference counting frees them when the
+command returns.  The collector is re-enabled on return only if it was
+enabled on entry, so library callers outside the CLI are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Optional
@@ -146,9 +154,11 @@ def _build_certificate(args):
     kind = args.kind
     try:
         if kind == "direct-kts":
+            # the construction checks t and s before the host is built
+            cert = direct_kts(args.t, args.s)
             host = direct_product(complete_graph(2 * args.t),
                                   complete_graph(args.s))
-            return host, direct_kts(args.t, args.s), "totally-odd-strong"
+            return host, cert, "totally-odd-strong"
         if kind == "direct-lift":
             fg = _factor(args.g, args.g_cert)
             fh = _factor(args.h, args.h_cert)
@@ -345,11 +355,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # see the module docstring: commands build large acyclic structures
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

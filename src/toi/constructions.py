@@ -6,8 +6,9 @@ structure, so the constructions apply to arbitrary hosts.  Correctness is
 defined by the verifier: callers (and the test suite) re-verify every output.
 
 Index convention: the closed-form route tables below are written with 1-based
-grid coordinates ``(i, j)`` and converted to 0-based vertex ids at exactly one
-boundary (the ``_enc1`` helpers), to avoid off-by-one drift.
+grid coordinates ``(i, j)`` and converted to the 0-based vertex id
+``(i-1)*s + j-1`` only where routes become edges or certificates, to avoid
+off-by-one drift.
 """
 
 from __future__ import annotations
@@ -279,11 +280,13 @@ def _grid_edges(verts, enc):
 def direct_kts_routes(t: int, s: int):
     """All connector routes of the K_{ts} certificate in K_{2t} x K_s.
 
-    Returns ``(singles, paths)`` where ``singles`` are the terminal-terminal
-    edges and ``paths`` is a list of ``(cell_a, cell_b, verts, tag)`` with
-    1-based grid cells.  Routes whose literal index pattern collides with
-    edges already claimed are re-routed through fresh even-row interior
-    vertices and tagged with a ``+reroute`` suffix.
+    Returns ``(singles, paths)``: ``singles`` lists the terminal-terminal
+    edges as ``(cell_a, cell_b)`` and ``paths`` lists
+    ``(cell_a, cell_b, verts, tag)``, with 1-based grid cells and ``cell_a``
+    the terminal of lower index (earlier in row-major order).  Routes whose
+    literal index pattern collides with edges already claimed are re-routed
+    through fresh even-row interior vertices and tagged with a ``+reroute``
+    suffix.
     """
     if t < 6 or s < 5:
         raise ValueError("requires t >= 6 and s >= 5")
@@ -292,19 +295,14 @@ def direct_kts_routes(t: int, s: int):
         i, j = cell
         return (i - 1) * s + (j - 1)
 
+    # each cross pair is one edge of its own; it joins two odd rows, while
+    # every edge of a pattern or replacement route has an even-row end, so
+    # the two never collide and ``used`` holds only the latter
+    singles = [((2 * i - 1, j), (2 * i2 - 1, j2))
+               for i in range(1, t + 1) for j in range(1, s + 1)
+               for i2 in range(i + 1, t + 1) for j2 in range(1, s + 1)
+               if j2 != j]
     used = set()
-    singles = []
-    for i in range(1, t + 1):
-        for j in range(1, s + 1):
-            for i2 in range(i + 1, t + 1):
-                for j2 in range(1, s + 1):
-                    if j2 == j:
-                        continue
-                    a, b = (2 * i - 1, j), (2 * i2 - 1, j2)
-                    e = (min(enc(a), enc(b)), max(enc(a), enc(b)))
-                    if e not in used:
-                        used.add(e)
-                        singles.append((a, b))
 
     paths = []
     deferred = []
@@ -355,29 +353,17 @@ def direct_kts(t: int, s: int) -> Certificate:
     Requires t >= 6 and s >= 5.
     """
     singles, paths = direct_kts_routes(t, s)
-
-    def enc(cell):
-        i, j = cell
-        return (i - 1) * s + (j - 1)
-
-    cells = [(2 * i - 1, j) for i in range(1, t + 1) for j in range(1, s + 1)]
-    index = {enc(c): pos for pos, c in enumerate(cells)}
-    terminals = tuple(enc(c) for c in cells)
-
-    connections = {}
-
-    def put(a, b, verts):
-        pa, pb = index[enc(a)], index[enc(b)]
-        ids = tuple(enc(c) for c in verts)
-        if pa > pb:
-            pa, pb = pb, pa
-            ids = tuple(reversed(ids))
-        connections[(pa, pb)] = Route(ids)
-
-    for a, b in singles:
-        put(a, b, [a, b])
-    for a, b, verts, _tag in paths:
-        put(a, b, verts)
+    # terminal (r, j), r = 2i-1 odd (1-based), has index (i-1)*s + j-1 =
+    # (r-1)//2*s + j-1 and vertex id (r-1)*s + j-1; every route runs from
+    # its lower-index terminal, so no route is reversed
+    terminals = tuple(2 * i * s + j for i in range(t) for j in range(s))
+    connections = {
+        ((ra - 1) // 2 * s + ja - 1, (rb - 1) // 2 * s + jb - 1):
+            Route(((ra - 1) * s + ja - 1, (rb - 1) * s + jb - 1))
+        for (ra, ja), (rb, jb) in singles}
+    for (ra, ja), (rb, jb), verts, _tag in paths:
+        connections[((ra - 1) // 2 * s + ja - 1, (rb - 1) // 2 * s + jb - 1)] = \
+            Route(tuple((r - 1) * s + j - 1 for r, j in verts))
     return Certificate(t * s, terminals, connections)
 
 

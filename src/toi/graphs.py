@@ -254,10 +254,19 @@ def read_graph_text(text: str) -> Graph:
     edges = []
     label_map = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        parts = raw.split()
+        # hot path first: a well-formed edge line after the problem line
+        if len(parts) == 3 and parts[0] == "e" and n is not None:
+            try:
+                u, v = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer endpoints") from None
+            if not (0 <= u < v < n):
+                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range or not ordered")
+            edges.append((u, v))
             continue
-        parts = line.split()
+        if not parts or parts[0].startswith("c"):
+            continue
         if parts[0] == "p":
             if n is not None:
                 raise GraphFormatError(f"line {lineno}: duplicate problem line")
@@ -270,15 +279,7 @@ def read_graph_text(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
-            if len(parts) != 3:
-                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
-            try:
-                u, v = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoints") from None
-            if not (0 <= u < v < n):
-                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range or not ordered")
-            edges.append((u, v))
+            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
         elif parts[0] == "l":
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'l <v> <g> <h>'")
@@ -286,6 +287,8 @@ def read_graph_text(text: str) -> Graph:
                 v, a, b = int(parts[1]), int(parts[2]), int(parts[3])
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer label") from None
+            if v in label_map:
+                raise GraphFormatError(f"line {lineno}: duplicate label line for vertex {v}")
             label_map[v] = (a, b)
         else:
             raise GraphFormatError(f"line {lineno}: unknown record '{parts[0]}'")

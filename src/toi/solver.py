@@ -37,7 +37,8 @@ class SearchBudget:
     def __post_init__(self):
         if self.max_nodes <= 0:
             raise ValueError("max_nodes must be positive")
-        if self.time_limit is not None and self.time_limit <= 0:
+        # written so that NaN, for which every comparison is False, fails
+        if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
         if self.max_route_length is not None and self.max_route_length <= 0:
             raise ValueError("max_route_length must be positive")

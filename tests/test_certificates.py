@@ -425,6 +425,17 @@ def test_certificate_text_round_trip(cert):
         '{"clique_size": 2, "terminals": [0, 1], "connections": '
         '[{"pair": [0, 1], "vertices": [0, "2", 1]}]}'),
      CertificateSchemaError, "connections[0].vertices[1]: bad vertex id '2'"),
+    (lambda: parse_certificate(
+        '{"clique_size": 2, "terminals": [0, 1], "connections": '
+        '[{"pair": [0, 1], "vertices": [0, true, -1]}]}'),
+     CertificateSchemaError, "connections[0].vertices[1]: bad vertex id True"),
+    (lambda: parse_certificate(
+        '{"clique_size": 4, "terminals": [0, 1, 2, 3], "connections": ['
+        '{"pair": [2, 3], "vertices": [2, 3]}, '
+        '{"pair": [1, 3], "vertices": [1, 3]}, '
+        '{"pair": [0, 2], "vertices": [0, 2]}, '
+        '{"pair": [0, 1], "vertices": [0, 1]}]}'),
+     CertificateSchemaError, "connections: missing pair (0, 3)"),
     (lambda: verify(complete_graph(3), Certificate(
         2, (0, 1), {(0, 1): Route((0, 7, 2, 9, 1))})),
      MalformedCertificateError,
@@ -437,7 +448,8 @@ def test_certificate_text_round_trip(cert):
         2, (0, 1), {(0, 1): Route((0, 2, 3, 1))})),
      MalformedCertificateError,
      "route for pair (0, 1) visits vertex 3 outside host (n=3)"),
-], ids=["route-repeat", "parse-vertex", "parse-string", "verify-high",
+], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
+        "parse-missing-first", "verify-high",
         "verify-negative", "verify-n"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:

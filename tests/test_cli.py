@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, file round-trips, stable JSON."""
 
+import gc
 import json
 
 import pytest
 
+import toi.cli
 from toi.certificates import parse_certificate, verify
 from toi.cli import main
 from toi.graphs import (
@@ -184,6 +186,22 @@ def test_construct_direct_kts_small(capsys, files):
     assert "t >= 6" in err
 
 
+@pytest.mark.parametrize("t, s", [(2, 2000), (-1, 5), (6, 0)])
+def test_construct_direct_kts_checks_sizes_before_the_host(capsys, files,
+                                                           monkeypatch, t, s):
+    def no_host(g, h):
+        raise AssertionError("host built before t and s were checked")
+
+    # (2, 2000) would ask for a host with about 24 million edges
+    monkeypatch.setattr(toi.cli, "direct_product", no_host)
+    code, stdout, err = run(capsys, "construct", "direct-kts",
+                            "--t", str(t), "--s", str(s),
+                            "-o", str(files["dir"] / "x.cert"))
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: requires t >= 6 and s >= 5\n"
+
+
 def test_construct_incomplete_factor_needs_cert(capsys, files):
     code, _, err = run(capsys, "construct", "cart-large",
                        "--g", files["c5"], "--h", files["k4"],
@@ -260,6 +278,14 @@ def test_solve_rejects_nonpositive_max_t(capsys, files):
     assert "--max-t" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "check-conjecture"])
+def test_nan_time_limit_is_a_usage_error(capsys, files, command):
+    code, stdout, err = run(capsys, command, files["k4"], "--time-limit", "nan")
+    assert code == 2
+    assert stdout == ""
+    assert err == "error: time_limit must be positive\n"
+
+
 def test_check_conjecture_c5(capsys, files):
     code, stdout, _ = run(capsys, "--json", "check-conjecture", files["c5"])
     assert code == 0
@@ -292,3 +318,35 @@ def test_json_schema_stable(capsys, files):
     assert code == 0
     assert sorted(json.loads(stdout)) == ["chi", "command", "satisfied", "toi"]
 
+
+# --- collector pause ----------------------------------------------------------
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("outcome", ["return", "usage-error", "exception"])
+def test_main_leaves_collector_state_as_found(capsys, files, monkeypatch,
+                                              enabled, outcome):
+    during = []
+
+    def spy(g):
+        during.append(gc.isenabled())
+        if outcome == "exception":
+            raise RuntimeError("escapes the command")
+        return write_graph_text(g)
+
+    monkeypatch.setattr(toi.cli, "write_graph_text", spy)
+    first = "/nonexistent.graph" if outcome == "usage-error" else files["k2"]
+    argv = ["product", "--op", "direct", first, files["k2"],
+            "-o", str(files["dir"] / "x.graph")]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if outcome == "exception":
+            with pytest.raises(RuntimeError):
+                main(argv)
+        else:
+            assert main(argv) == (0 if outcome == "return" else 2)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    # the command itself ran with the collector paused
+    assert during == ([] if outcome == "usage-error" else [False])

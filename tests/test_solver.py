@@ -104,6 +104,8 @@ def test_budget_validation():
     with pytest.raises(ValueError):
         SearchBudget(time_limit=-1)
     with pytest.raises(ValueError):
+        SearchBudget(time_limit=float("nan"))
+    with pytest.raises(ValueError):
         SearchBudget(max_route_length=0)
 
 
