@@ -5,17 +5,21 @@ timeout, indeterminate conjecture), 2 usage or format error.  Every command
 is deterministic; ``--json`` replaces the human report with a single JSON
 object on standard output.
 
-Each command runs with the cyclic garbage collector paused.  A command
-builds large acyclic structures (a host graph's edge set, tens of thousands
-of routes and their tuples), which the collector would rescan again and
-again for cycles it cannot find; reference counting frees them when the
-command returns.  The collector is re-enabled on return only if it was
+The ``product``, ``verify`` and ``construct`` commands run with the cyclic
+garbage collector paused.  They build large acyclic structures (a host
+graph's edge set, tens of thousands of routes and their tuples), which the
+collector would rescan again and again for cycles it cannot find; reference
+counting frees them when the command returns.  ``solve`` and
+``check-conjecture`` keep the collector running: the search makes a
+reference cycle per call of its recursive generators, which only the
+collector frees.  The collector is re-enabled on return only if it was
 enabled on entry, so library callers outside the CLI are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import json
 import sys
@@ -114,6 +118,21 @@ def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
     return FactorImmersion.identity(g)
 
 
+def _collector_paused(cmd):
+    """Run ``cmd`` with the cyclic collector off (see the module docstring)."""
+    @functools.wraps(cmd)
+    def run(args) -> int:
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return cmd(args)
+        finally:
+            if was_enabled:
+                gc.enable()
+    return run
+
+
+@_collector_paused
 def _cmd_product(args) -> int:
     g = _read_graph(args.g)
     h = _read_graph(args.h)
@@ -126,6 +145,7 @@ def _cmd_product(args) -> int:
     return 0
 
 
+@_collector_paused
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     cert = _read_cert(args.cert)
@@ -187,6 +207,7 @@ def _build_certificate(args):
         raise _UsageError(str(exc))
 
 
+@_collector_paused
 def _cmd_construct(args) -> int:
     host, cert, level = _build_certificate(args)
     rep = verify(host, cert)
@@ -355,17 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # see the module docstring: commands build large acyclic structures
-    was_enabled = gc.isenabled()
-    gc.disable()
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    finally:
-        if was_enabled:
-            gc.enable()
 
 
 if __name__ == "__main__":

@@ -6,7 +6,12 @@ import json
 import pytest
 
 import toi.cli
-from toi.certificates import parse_certificate, verify
+from toi.certificates import (
+    identity_certificate,
+    parse_certificate,
+    serialize_certificate,
+    verify,
+)
 from toi.cli import main
 from toi.graphs import (
     cartesian_product,
@@ -350,3 +355,35 @@ def test_main_leaves_collector_state_as_found(capsys, files, monkeypatch,
         (gc.enable if was_enabled else gc.disable)()
     # the command itself ran with the collector paused
     assert during == ([] if outcome == "usage-error" else [False])
+
+
+@pytest.mark.parametrize("argv, paused", [
+    (["product", "--op", "direct", "{k2}", "{k3}", "-o", "{dir}/x.graph"], True),
+    (["construct", "cart-32", "--g", "{c5}", "--h", "{p3}", "-o", "{dir}/x.cert"],
+     True),
+    (["verify", "{k3}", "{dir}/k3.cert"], True),
+    # the search leaves reference cycles that only the collector frees
+    (["solve", "{k3}"], False),
+    (["check-conjecture", "{k3}"], False),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_collector_paused_only_for_codec_commands(capsys, files, monkeypatch,
+                                                   argv, paused):
+    (files["dir"] / "k3.cert").write_text(
+        serialize_certificate(identity_certificate(complete_graph(3))))
+    during = []
+    real = toi.cli.read_graph_text
+
+    def spy(text):
+        during.append(gc.isenabled())
+        return real(text)
+
+    monkeypatch.setattr(toi.cli, "read_graph_text", spy)
+    was_enabled = gc.isenabled()
+    gc.enable()
+    try:
+        assert main([a.format(**files) for a in argv]) == 0
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    capsys.readouterr()
+    assert during and set(during) == {not paused}
