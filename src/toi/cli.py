@@ -5,21 +5,16 @@ timeout, indeterminate conjecture), 2 usage or format error.  Every command
 is deterministic; ``--json`` replaces the human report with a single JSON
 object on standard output.
 
-The ``product``, ``verify`` and ``construct`` commands run with the cyclic
-garbage collector paused.  They build large acyclic structures (a host
-graph's edge set, tens of thousands of routes and their tuples), which the
-collector would rescan again and again for cycles it cannot find; reference
-counting frees them when the command returns.  ``solve`` and
-``check-conjecture`` keep the collector running: the search makes a
-reference cycle per call of its recursive generators, which only the
-collector frees.  The collector is re-enabled on return only if it was
-enabled on entry, so library callers outside the CLI are unaffected.
+Every command runs with the cyclic garbage collector paused: what the
+commands build, from product hosts to the solver's search state, holds no
+reference cycles, so the collector would only rescan it for cycles it
+cannot find.  ``main`` re-enables the collector on return only if it was
+enabled on entry, so library callers are unaffected.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import gc
 import json
 import sys
@@ -118,21 +113,6 @@ def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
     return FactorImmersion.identity(g)
 
 
-def _collector_paused(cmd):
-    """Run ``cmd`` with the cyclic collector off (see the module docstring)."""
-    @functools.wraps(cmd)
-    def run(args) -> int:
-        was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            return cmd(args)
-        finally:
-            if was_enabled:
-                gc.enable()
-    return run
-
-
-@_collector_paused
 def _cmd_product(args) -> int:
     g = _read_graph(args.g)
     h = _read_graph(args.h)
@@ -145,7 +125,6 @@ def _cmd_product(args) -> int:
     return 0
 
 
-@_collector_paused
 def _cmd_verify(args) -> int:
     g = _read_graph(args.graph)
     cert = _read_cert(args.cert)
@@ -207,7 +186,6 @@ def _build_certificate(args):
         raise _UsageError(str(exc))
 
 
-@_collector_paused
 def _cmd_construct(args) -> int:
     host, cert, level = _build_certificate(args)
     rep = verify(host, cert)
@@ -376,11 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    was_enabled = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

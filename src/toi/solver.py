@@ -12,7 +12,9 @@ None.  Terminal sets skipped by the edge-budget bound (proved in
 refutation.  The route length cap does, but only where it actually cut a
 branch: a refutation counts as complete unless the cap pruned a
 non-terminal neighbour while that level was searched.  An answer is exact
-when every level above it was refuted completely.
+when every level above it was refuted completely.  A single level is asked
+through ``exact_toi(g, budget, max_t=t)``: ``value == t`` means K_t is
+present, ``value < t`` with status "exact" means it is definitely absent.
 """
 
 from __future__ import annotations
@@ -49,19 +51,6 @@ class SolveResult:
     value: int
     witness: Optional[Certificate]
     status: str  # "exact" | "lower-bound-only" | "timeout"
-    nodes_explored: int
-
-
-@dataclass
-class CliqueSearchOutcome:
-    """Answer to 'does G contain a totally odd strong K_t immersion?'.
-
-    ``definitive`` is False only when the budget ran out; an absence with
-    ``definitive=True`` means the full space was enumerated.
-    """
-
-    certificate: Optional[Certificate]
-    definitive: bool
     nodes_explored: int
 
 
@@ -105,53 +94,45 @@ class _Ticker:
 class _ToiSearch:
     def __init__(self, g: Graph, budget: SearchBudget):
         self.g = g
-        self.cap = _effective_cap(g, budget)
+        cap = _effective_cap(g, budget)
+        # a simple route has at most m edges, so m stands in for no cap
+        self.cap = g.m if cap is None else cap
         self.ticker = _Ticker(budget)
-        self.edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
+        edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
         self.adj_mask = [sum(1 << w for w in nbrs) for nbrs in self.adj]
+        # (neighbour, edge bit) pairs in ascending neighbour order, and the
+        # mask of every edge incident to a vertex
+        self.nbr_bits = [[(w, 1 << edge_index[(v, w) if v < w else (w, v)])
+                          for w in nbrs] for v, nbrs in enumerate(self.adj)]
+        self.inc = [sum(bit for _, bit in pairs) for pairs in self.nbr_bits]
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
-    def _routes(self, src: int, dst: int, used: int, terminals: frozenset):
-        """Yield simple odd routes from src to dst avoiding used edges and
-        all terminals as interior vertices, as (vertex tuple, edge mask).
+    def _routes(self, src: int, dst: int, used: int, terminals: int):
+        """Yield simple odd routes from src to dst, src < dst, avoiding used
+        edges and all terminals (a vertex bit mask) as interior vertices, as
+        (vertex tuple, edge mask).  DFS from src, neighbors ascending."""
+        return self._dfs((src,), terminals & ~(1 << dst), used, 0, dst)
 
-        DFS from the lower-id endpoint, neighbors ascending; result oriented
-        from src.
-        """
-        start, goal = (src, dst) if src < dst else (dst, src)
-        cap = self.cap if self.cap is not None else self.g.m
-        path = [start]
-        visited = {start}
-        tick = self.ticker.tick
-
-        def dfs(v, mask, length):
-            tick()
-            for w in self.adj[v]:
-                eidx = self.edge_index[(v, w) if v < w else (w, v)]
-                bit = 1 << eidx
-                if (used | mask) & bit or w in visited:
-                    continue
-                if w == goal:
-                    if length % 2 == 0:  # length+1 odd
-                        verts = tuple(path) + (w,)
-                        if start != src:
-                            verts = tuple(reversed(verts))
-                        yield verts, mask | bit
-                    continue
-                if w in terminals:
-                    continue
-                if length + 1 >= cap:
-                    self.cap_pruned = True
-                    continue
-                visited.add(w)
-                path.append(w)
-                yield from dfs(w, mask | bit, length + 1)
-                path.pop()
-                visited.remove(w)
-
-        yield from dfs(start, 0, 0)
+    def _dfs(self, path, avoid, taken, mask, goal):
+        """Extend ``path`` by one edge in every way that avoids the vertices
+        in ``avoid`` and the edges in ``taken``; ``mask`` holds the path's
+        own edges."""
+        self.ticker.tick()
+        length = len(path) - 1
+        for w, bit in self.nbr_bits[path[-1]]:
+            if taken & bit or avoid >> w & 1:
+                continue
+            if w == goal:
+                if length % 2 == 0:  # length+1 odd
+                    yield path + (w,), mask | bit
+                continue
+            if length + 1 >= self.cap:
+                self.cap_pruned = True
+                continue
+            yield from self._dfs(path + (w,), avoid | 1 << w, taken | bit,
+                                 mask | bit, goal)
 
     def find(self, t: int) -> Optional[Certificate]:
         """First totally odd strong K_t certificate in deterministic order,
@@ -171,29 +152,32 @@ class _ToiSearch:
             subset = tuple(sorted(combo))
             if self._edge_budget_refutes(subset):
                 continue
-            terminal_set = frozenset(subset)
             chosen = {}
-
-            def assign(pi, used):
-                if pi == len(pairs):
-                    return True
-                a, b = pairs[pi]
-                for verts, mask in self._routes(subset[a], subset[b], used,
-                                                terminal_set):
-                    chosen[(a, b)] = verts
-                    if self._feasible(subset, pairs, pi + 1, used | mask):
-                        if assign(pi + 1, used | mask):
-                            return True
-                    del chosen[(a, b)]
-                return False
-
-            if assign(0, 0):
+            if self._assign(subset, sum(1 << v for v in subset), pairs, 0, 0,
+                            chosen):
                 cert = Certificate(t, subset,
                                    {p: Route(v) for p, v in chosen.items()})
                 report = verify(g, cert)
-                assert report.all_ok, report.first_violation
+                if not report.all_ok:
+                    raise RuntimeError("solver witness failed verification: "
+                                       f"{report.first_violation}")
                 return cert
         return None
+
+    def _assign(self, subset, terminals, pairs, pi, used, chosen) -> bool:
+        """Route pairs[pi:] edge-disjointly from ``used``, recording each
+        route in ``chosen``; True on success."""
+        if pi == len(pairs):
+            return True
+        a, b = pairs[pi]
+        for verts, mask in self._routes(subset[a], subset[b], used, terminals):
+            chosen[(a, b)] = verts
+            if (self._feasible(subset, pairs, pi + 1, used | mask)
+                    and self._assign(subset, terminals, pairs, pi + 1,
+                                     used | mask, chosen)):
+                return True
+            del chosen[(a, b)]
+        return False
 
     def _edge_budget_refutes(self, subset) -> bool:
         """True when the non-adjacent terminal pairs of ``subset`` need more
@@ -218,15 +202,9 @@ class _ToiSearch:
         for a, b in pairs[pi:]:
             remaining[a] += 1
             remaining[b] += 1
+        inc = self.inc
         for pos, v in enumerate(subset):
-            if remaining[pos] == 0:
-                continue
-            free = 0
-            for w in self.adj[v]:
-                eidx = self.edge_index[(v, w) if v < w else (w, v)]
-                if not (used >> eidx) & 1:
-                    free += 1
-            if free < remaining[pos]:
+            if (inc[v] & ~used).bit_count() < remaining[pos]:
                 return False
         return True
 
@@ -238,26 +216,6 @@ def _eligibility_bound(g: Graph) -> int:
         if degs[t - 1] >= t - 1:
             u = t
     return max(u, 1)
-
-
-def has_toi_clique(g: Graph, t: int,
-                   budget: Optional[SearchBudget] = None) -> CliqueSearchOutcome:
-    """Search for a totally odd strong K_t immersion certificate.
-
-    A returned certificate always passes full verification.  Absence is
-    definitive only for a search within budget whose route cap never cut a
-    branch.
-    """
-    if t < 1:
-        raise ValueError("clique size must be positive")
-    budget = budget or SearchBudget()
-    search = _ToiSearch(g, budget)
-    try:
-        cert = search.find(t)
-    except _BudgetExhausted:
-        return CliqueSearchOutcome(None, False, search.ticker.nodes)
-    definitive = cert is not None or not search.cap_pruned
-    return CliqueSearchOutcome(cert, definitive, search.ticker.nodes)
 
 
 def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
@@ -348,26 +306,25 @@ def _dsatur(g: Graph):
 
 def _k_colorable(g: Graph, k: int, ticker: _Ticker) -> bool:
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
-    colors = {}
+    return _color(g.adjacency, order, k, ticker, {}, 0, 0)
 
-    def bt(idx, in_use):
-        """Colour order[idx:] given colours 0..in_use-1 on order[:idx]; a
-        vertex may open at most one new colour (symmetry breaking)."""
-        ticker.tick()
-        if idx == g.n:
+
+def _color(adj, order, k, ticker, colors, idx, in_use) -> bool:
+    """Colour order[idx:] given colours 0..in_use-1 on order[:idx]; a vertex
+    may open at most one new colour (symmetry breaking)."""
+    ticker.tick()
+    if idx == len(order):
+        return True
+    v = order[idx]
+    used_colors = {colors[w] for w in adj[v] if w in colors}
+    for c in range(min(k, in_use + 1)):
+        if c in used_colors:
+            continue
+        colors[v] = c
+        if _color(adj, order, k, ticker, colors, idx + 1, max(in_use, c + 1)):
             return True
-        v = order[idx]
-        used_colors = {colors[w] for w in g.adjacency[v] if w in colors}
-        for c in range(min(k, in_use + 1)):
-            if c in used_colors:
-                continue
-            colors[v] = c
-            if bt(idx + 1, max(in_use, c + 1)):
-                return True
-            del colors[v]
-        return False
-
-    return bt(0, 0)
+        del colors[v]
+    return False
 
 
 def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveResult:

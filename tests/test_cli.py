@@ -357,17 +357,17 @@ def test_main_leaves_collector_state_as_found(capsys, files, monkeypatch,
     assert during == ([] if outcome == "usage-error" else [False])
 
 
-@pytest.mark.parametrize("argv, paused", [
-    (["product", "--op", "direct", "{k2}", "{k3}", "-o", "{dir}/x.graph"], True),
+@pytest.mark.parametrize("argv, code", [
+    (["product", "--op", "direct", "{k2}", "{k3}", "-o", "{dir}/x.graph"], 0),
     (["construct", "cart-32", "--g", "{c5}", "--h", "{p3}", "-o", "{dir}/x.cert"],
-     True),
-    (["verify", "{k3}", "{dir}/k3.cert"], True),
-    # the search leaves reference cycles that only the collector frees
-    (["solve", "{k3}"], False),
-    (["check-conjecture", "{k3}"], False),
-], ids=lambda v: v[0] if isinstance(v, list) else None)
-def test_collector_paused_only_for_codec_commands(capsys, files, monkeypatch,
-                                                   argv, paused):
+     0),
+    (["verify", "{k3}", "{dir}/k3.cert"], 0),
+    (["solve", "{k3}"], 0),
+    (["solve", "{k4}", "--nodes", "2"], 1),
+    (["check-conjecture", "{k3}"], 0),
+], ids=["product", "construct", "verify", "solve", "solve-timeout",
+        "check-conjecture"])
+def test_every_command_runs_paused(capsys, files, monkeypatch, argv, code):
     (files["dir"] / "k3.cert").write_text(
         serialize_certificate(identity_certificate(complete_graph(3))))
     during = []
@@ -381,9 +381,9 @@ def test_collector_paused_only_for_codec_commands(capsys, files, monkeypatch,
     was_enabled = gc.isenabled()
     gc.enable()
     try:
-        assert main([a.format(**files) for a in argv]) == 0
+        assert main([a.format(**files) for a in argv]) == code
         assert gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
     capsys.readouterr()
-    assert during and set(during) == {not paused}
+    assert during and set(during) == {False}

@@ -1,5 +1,6 @@
 """Exhaustive solver: exact values, budget behavior, chromatic number."""
 
+import gc
 import hashlib
 import itertools
 import random
@@ -8,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import serialize_certificate, verify
+import toi.solver
+from toi.certificates import Certificate, serialize_certificate, verify
 from toi.graphs import (
     Graph,
     cartesian_product,
@@ -24,7 +26,6 @@ from toi.solver import (
     check_conjecture,
     chromatic_number,
     exact_toi,
-    has_toi_clique,
 )
 
 
@@ -81,21 +82,13 @@ def test_bipartite_graphs_capped_at_two():
         assert res.value <= 2
 
 
-def test_has_toi_clique_definitive_absence():
-    out = has_toi_clique(cycle_graph(4), 3)
-    assert out.certificate is None
-    assert out.definitive
-
-
-def test_has_toi_clique_positive():
-    out = has_toi_clique(complete_graph(4), 4)
-    assert out.certificate is not None
-    assert verify(complete_graph(4), out.certificate).all_ok
-
-
-def test_has_toi_clique_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        has_toi_clique(complete_graph(3), 0)
+def test_max_t_asks_a_single_level():
+    # value == t: K_t is present; value < t with "exact": definitely absent
+    present = exact_toi(complete_graph(4), max_t=4)
+    assert present.value == 4
+    assert verify(complete_graph(4), present.witness).all_ok
+    absent = exact_toi(cycle_graph(4), max_t=3)
+    assert absent.value < 3 and absent.status == "exact"
 
 
 def test_budget_validation():
@@ -131,6 +124,15 @@ def test_route_length_cap_degrades_status():
     assert res.status == "lower-bound-only"
 
 
+def test_route_length_cap_admits_routes_of_that_length():
+    # on C5 the only odd route from 0 to 2 is 0-4-3-2, three edges long
+    def routes(cap):
+        search = _ToiSearch(cycle_graph(5), SearchBudget(max_route_length=cap))
+        return [verts for verts, _ in search._routes(0, 2, 0, 1 | 1 << 2)]
+    assert routes(3) == [(0, 4, 3, 2)]
+    assert routes(2) == []
+
+
 def test_max_t_must_be_positive():
     with pytest.raises(ValueError):
         exact_toi(complete_graph(4), max_t=0)
@@ -161,8 +163,9 @@ def test_cap_that_never_prunes_keeps_exactness():
     # m = 25 turns the default route cap on, but no route reaches it
     res = exact_toi(cartesian_product(cycle_graph(5), path_graph(3)))
     assert res.value == 4 and res.status == "exact"
-    out = has_toi_clique(direct_product(complete_graph(3), complete_graph(4)), 7)
-    assert out.certificate is None and out.definitive
+    res = exact_toi(direct_product(complete_graph(3), complete_graph(4)),
+                    max_t=7)
+    assert res.value < 7 and res.status == "exact"
 
 
 def _differential_graphs():
@@ -193,9 +196,9 @@ def test_edge_budget_bound_changes_no_answer(monkeypatch):
 
 
 def test_capped_exact_status_is_sound():
-    # a short route cap may hide the answer; "exact" and a definitive
-    # absence must then not be claimed, and the cap only degrades a status
-    # where it actually cut a branch
+    # a short route cap may hide the answer; "exact" must then not be
+    # claimed, not even for a single level asked through max_t, and the cap
+    # only degrades a status where it actually cut a branch
     statuses = set()
     for g in _differential_graphs():
         truth = exact_toi(g)
@@ -206,9 +209,45 @@ def test_capped_exact_status_is_sound():
             statuses.add(res.status)
             if res.status == "exact":
                 assert res.value == truth.value
-            out = has_toi_clique(g, truth.value, budget)
-            assert out.certificate is not None or not out.definitive
+            level = exact_toi(g, budget, max_t=truth.value)
+            assert level.value == truth.value or level.status != "exact"
     assert statuses == {"exact", "lower-bound-only"}
+
+
+def test_unverified_witness_is_never_returned(monkeypatch):
+    # the check is an explicit raise, so it holds under python -O too
+    failing = verify(complete_graph(3), Certificate(3, (0, 1, 2)))
+    monkeypatch.setattr(toi.solver, "verify", lambda g, cert: failing)
+    with pytest.raises(RuntimeError, match="missing pair"):
+        exact_toi(complete_graph(4))
+
+
+def test_search_leaves_no_reference_cycles():
+    # with the collector off, every cycle a call leaves behind would stay
+    # tracked; after one warm-up call the count must not move
+    k6 = complete_graph(6)
+    search = _ToiSearch(k6, SearchBudget())
+    direct_k3_k4 = direct_product(complete_graph(3), complete_graph(4))
+    calls = [
+        (lambda: list(search._routes(0, 5, 0, 1 | 1 << 5)), 2000),
+        (lambda: _ToiSearch(k6, SearchBudget()).find(6), 200),
+        (lambda: exact_toi(cycle_graph(5)), 200),
+        (lambda: exact_toi(direct_k3_k4, SearchBudget(max_nodes=3000)), 20),
+        (lambda: chromatic_number(cycle_graph(7)), 200),
+    ]
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for call, repeats in calls:
+            call()
+            before = len(gc.get_objects())
+            for _ in range(repeats):
+                call()
+            assert len(gc.get_objects()) == before
+    finally:
+        if was_enabled:
+            gc.enable()
 
 
 def test_determinism():
@@ -283,6 +322,59 @@ def test_exhaustive_four_vertex_laws():
         chi = chromatic_number(g)
         assert chi.status == "exact"
         assert chi.value <= res.value
+
+
+def _trail_toi(g):
+    """Reference toi by brute force, independent of the solver: the largest
+    t with t terminals joined pairwise by edge-disjoint odd trails whose
+    interiors avoid every terminal.  Trails may revisit a non-terminal."""
+    incident = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(sorted(g.edges)):
+        incident[u].append((v, i))
+        incident[v].append((u, i))
+
+    def odd_trails(a, b, terminals):
+        masks, stack = set(), [(a, 0, 0)]
+        while stack:
+            v, mask, length = stack.pop()
+            for w, i in incident[v]:
+                if mask >> i & 1:
+                    continue
+                if w == b:
+                    if length % 2 == 0:
+                        masks.add(mask | 1 << i)
+                elif w not in terminals:
+                    stack.append((w, mask | 1 << i, length + 1))
+        return masks
+
+    for t in range(g.n, 1, -1):
+        for subset in itertools.combinations(range(g.n), t):
+            options = [odd_trails(a, b, set(subset))
+                       for a, b in itertools.combinations(subset, 2)]
+            if _disjoint_choice(options, 0):
+                return t
+    return 1
+
+
+def _disjoint_choice(options, used):
+    """True when one edge mask per entry of ``options`` can be chosen with
+    all of them pairwise disjoint and disjoint from ``used``."""
+    if not options:
+        return True
+    return any(_disjoint_choice(options[1:], used | mask)
+               for mask in options[0] if not used & mask)
+
+
+def test_trail_oracle_agrees_on_all_five_vertex_graphs():
+    # the solver searches simple paths; toi is defined by trails.  No
+    # 5-vertex graph needs strongness; on the 6-vertex one it cuts K_4 to K_3
+    strong_matters = Graph(6, frozenset([(0, 1), (0, 2), (0, 4), (0, 5), (1, 5),
+                                         (2, 3), (2, 5), (3, 4), (3, 5), (4, 5)]))
+    for g in itertools.chain(_all_graphs(5), [strong_matters]):
+        res = exact_toi(g)
+        assert res.status == "exact"
+        assert res.value == _trail_toi(g)
+    assert _trail_toi(strong_matters) == 3
 
 
 @given(st.integers(2, 6))
