@@ -65,6 +65,15 @@ class Graph:
             if len(seen) != self.n:
                 raise ValueError("labels are not a bijection")
 
+    @classmethod
+    def _trusted(cls, n: int, edges: frozenset, labels=None, name: str = ""):
+        """``Graph(n, edges, labels, name)`` without the per-edge walk, for
+        the text reader and the products, whose edges are canonical and in
+        range by construction; n and the labels are still checked."""
+        g = cls(n, frozenset(), labels, name)
+        object.__setattr__(g, "edges", edges)
+        return g
+
     @cached_property
     def adjacency(self) -> tuple:
         """Per-vertex neighbor tuples, ascending."""
@@ -134,7 +143,7 @@ def _check_factors(g: Graph, h: Graph):
 
 
 # Factor edges are canonical, so the products below emit every edge with
-# u < v and pass them to Graph without _make's min/max.
+# u < v < n and pass them to Graph._trusted without _make's min/max.
 def cartesian_product(g: Graph, h: Graph) -> Graph:
     """(g1,h1) ~ (g2,h2) iff they agree in one coordinate and step in the other."""
     _check_factors(g, h)
@@ -146,8 +155,8 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
     for hv in range(h.n):
         for a, b in g.edges:
             edges.append((a * nh + hv, b * nh + hv))
-    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}[]{h.name}",
-                 labels=_product_labels(g.n, nh))
+    return Graph._trusted(g.n * nh, frozenset(edges), _product_labels(g.n, nh),
+                          f"{g.name}[]{h.name}")
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
@@ -159,8 +168,8 @@ def direct_product(g: Graph, h: Graph) -> Graph:
         for c, d in h.edges:
             edges.append((a * nh + c, b * nh + d))
             edges.append((a * nh + d, b * nh + c))
-    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}x{h.name}",
-                 labels=_product_labels(g.n, nh))
+    return Graph._trusted(g.n * nh, frozenset(edges), _product_labels(g.n, nh),
+                          f"{g.name}x{h.name}")
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
@@ -175,8 +184,8 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
     for gv in range(g.n):
         for c, d in h.edges:
             edges.append((gv * nh + c, gv * nh + d))
-    return Graph(g.n * nh, frozenset(edges), name=f"{g.name}o{h.name}",
-                 labels=_product_labels(g.n, nh))
+    return Graph._trusted(g.n * nh, frozenset(edges), _product_labels(g.n, nh),
+                          f"{g.name}o{h.name}")
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
@@ -184,8 +193,8 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     _check_factors(g, h)
     cart = cartesian_product(g, h)
     direct = direct_product(g, h)
-    return Graph(g.n * h.n, cart.edges | direct.edges, name=f"{g.name}*{h.name}",
-                 labels=_product_labels(g.n, h.n))
+    return Graph._trusted(g.n * h.n, cart.edges | direct.edges,
+                          _product_labels(g.n, h.n), f"{g.name}*{h.name}")
 
 
 def is_bipartite(g: Graph):
@@ -309,6 +318,6 @@ def read_graph_text(text: str) -> Graph:
             raise GraphFormatError("label lines must cover every vertex exactly once")
         labels = tuple(label_map[v] for v in range(n))
     try:
-        return Graph(n=n, edges=edge_set, labels=labels)
+        return Graph._trusted(n, edge_set, labels)
     except ValueError as exc:
         raise GraphFormatError(str(exc)) from None

@@ -1,7 +1,9 @@
 """Exact small-instance computation of toi(G) and the chromatic number.
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
-systems, with degree-eligibility, bipartiteness and edge-budget pruning.
+systems, with degree-eligibility, bipartiteness and edge-budget pruning.  The
+chromatic number is found by DSATUR-ordered backtracking for k-colourings
+between a clique lower bound and a DSATUR upper bound.
 This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
@@ -101,11 +103,9 @@ class _ToiSearch:
         edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
         self.adj_mask = [sum(1 << w for w in nbrs) for nbrs in self.adj]
-        # (neighbour, edge bit) pairs in ascending neighbour order, and the
-        # mask of every edge incident to a vertex
+        # (neighbour, edge bit) pairs in ascending neighbour order
         self.nbr_bits = [[(w, 1 << edge_index[(v, w) if v < w else (w, v)])
                           for w in nbrs] for v, nbrs in enumerate(self.adj)]
-        self.inc = [sum(bit for _, bit in pairs) for pairs in self.nbr_bits]
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
@@ -166,15 +166,21 @@ class _ToiSearch:
 
     def _assign(self, subset, terminals, pairs, pi, used, chosen) -> bool:
         """Route pairs[pi:] edge-disjointly from ``used``, recording each
-        route in ``chosen``; True on success."""
+        route in ``chosen``; True on success.
+
+        No terminal can run out of free incident edges here, so none is
+        checked: a route is simple and has no terminal in its interior, so
+        it uses exactly one edge at each of its two terminals and none at
+        any other.  A terminal v has thus spent one edge per routed pair at
+        v, and deg(v) >= t - 1 (the eligibility rule of :meth:`find`)
+        leaves at least one free edge for each of its unrouted pairs."""
         if pi == len(pairs):
             return True
         a, b = pairs[pi]
         for verts, mask in self._routes(subset[a], subset[b], used, terminals):
             chosen[(a, b)] = verts
-            if (self._feasible(subset, pairs, pi + 1, used | mask)
-                    and self._assign(subset, terminals, pairs, pi + 1,
-                                     used | mask, chosen)):
+            if self._assign(subset, terminals, pairs, pi + 1, used | mask,
+                            chosen):
                 return True
             del chosen[(a, b)]
         return False
@@ -194,19 +200,6 @@ class _ToiSearch:
         terminal_other = degree_sum - twice_adjacent
         other_other = self.g.m - twice_adjacent // 2 - terminal_other
         return 2 * far > terminal_other or far > other_other
-
-    def _feasible(self, subset, pairs, pi, used) -> bool:
-        """Every terminal must keep enough free incident edges for its
-        remaining unconnected pairs."""
-        remaining = [0] * len(subset)
-        for a, b in pairs[pi:]:
-            remaining[a] += 1
-            remaining[b] += 1
-        inc = self.inc
-        for pos, v in enumerate(subset):
-            if (inc[v] & ~used).bit_count() < remaining[pos]:
-                return False
-        return True
 
 
 def _eligibility_bound(g: Graph) -> int:
@@ -305,31 +298,55 @@ def _dsatur(g: Graph):
 
 
 def _k_colorable(g: Graph, k: int, ticker: _Ticker) -> bool:
+    # ties in saturation go to the first vertex of this order, as in _dsatur
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
-    return _color(g.adjacency, order, k, ticker, {}, 0, 0)
+    return _color(g.adjacency, order, k, ticker, [-1] * g.n,
+                  [[0] * k for _ in range(g.n)], [0] * g.n, 0)
 
 
-def _color(adj, order, k, ticker, colors, idx, in_use) -> bool:
-    """Colour order[idx:] given colours 0..in_use-1 on order[:idx]; a vertex
-    may open at most one new colour (symmetry breaking)."""
+def _color(adj, order, k, ticker, colors, counts, sat, in_use) -> bool:
+    """Colour the vertices with ``colors[v] == -1`` given colours
+    0..in_use-1 on the others, branching DSATUR-style on the uncoloured
+    vertex with the most distinct neighbour colours.  ``counts[v][c]``
+    counts the neighbours of v coloured c and ``sat[v]`` the nonzero
+    entries of that row; both are updated on colouring and undone on
+    backtrack.  A vertex may open at most one new colour (symmetry
+    breaking): colours in_use..k-1 appear nowhere yet, so they are
+    interchangeable at every node, whatever vertex the dynamic order picks
+    there."""
     ticker.tick()
-    if idx == len(order):
+    v, best = -1, -1
+    for w in order:
+        if colors[w] < 0 and sat[w] > best:
+            v, best = w, sat[w]
+    if v < 0:
         return True
-    v = order[idx]
-    used_colors = {colors[w] for w in adj[v] if w in colors}
+    row = counts[v]
     for c in range(min(k, in_use + 1)):
-        if c in used_colors:
+        if row[c]:
             continue
         colors[v] = c
-        if _color(adj, order, k, ticker, colors, idx + 1, max(in_use, c + 1)):
+        for w in adj[v]:
+            if not counts[w][c]:
+                sat[w] += 1
+            counts[w][c] += 1
+        if _color(adj, order, k, ticker, colors, counts, sat,
+                  max(in_use, c + 1)):
             return True
-        del colors[v]
+        for w in adj[v]:
+            counts[w][c] -= 1
+            if not counts[w][c]:
+                sat[w] -= 1
+    colors[v] = -1
     return False
 
 
 def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveResult:
-    """Exact chromatic number by branch and bound between a greedy clique
-    lower bound and a DSATUR upper bound."""
+    """Exact chromatic number.  A greedy clique gives a lower bound lb and
+    one DSATUR colouring an upper bound ub; k = lb, lb+1, ..., ub-1 are then
+    tried in turn by a backtracking k-colouring search that branches on the
+    uncoloured vertex of largest saturation (see :func:`_color`), and the
+    first k that succeeds is the answer, else ub."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     ticker = _Ticker(budget or SearchBudget())

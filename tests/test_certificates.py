@@ -185,6 +185,57 @@ class TestSingleFaultMutations:
         assert flags["terminals_distinct"] is False
 
 
+@st.composite
+def _single_faults(draw):
+    """A valid certificate of direct edges between r terminals of
+    K_{r+4} minus one edge {z, w} between spare vertices, a fault of one
+    kind, and the certificate with that fault.  Spare paths use only the
+    edges among x, y, z, so only the edges_exist fault meets {z, w}.
+    terminals_distinct has no single fault: two equal terminals need a
+    closed route (not simple) or no route (not complete)."""
+    r = draw(st.integers(2, 5))
+    perm = draw(st.permutations(range(r + 4)))
+    terminals, (x, y, z, w) = tuple(perm[:r]), perm[r:]
+    host = Graph(r + 4, complete_graph(r + 4).edges - {(min(z, w), max(z, w))})
+    pairs = [(a, b) for a in range(r) for b in range(a + 1, r)]
+    conns = {(a, b): Route((terminals[a], terminals[b])) for a, b in pairs}
+    clean = Certificate(r, terminals, dict(conns))
+    kinds = ["complete", "endpoints_ok", "edges_exist", "all_odd",
+             "routes_simple"]
+    if r >= 3:
+        kinds += ["edge_disjoint", "strong"]
+    kind = draw(st.sampled_from(kinds))
+    a, b = pair = draw(st.sampled_from(pairs))
+    ta, tb = terminals[a], terminals[b]
+    others = [v for v in terminals if v not in (ta, tb)]
+    if kind == "complete":
+        del conns[pair]
+    elif kind == "endpoints_ok":
+        conns[pair] = Route((ta, x, y, draw(st.sampled_from([z, *others]))))
+    elif kind == "edges_exist":
+        conns[pair] = Route((ta, z, w, tb))
+    elif kind == "all_odd":
+        conns[pair] = Route((ta, x, tb))
+    elif kind == "routes_simple":
+        conns[pair] = Route((ta, x, y, z, x, tb))
+    elif kind == "edge_disjoint":
+        c, d = other = draw(st.sampled_from([p for p in pairs if p != pair]))
+        conns[pair] = Route((ta, x, y, tb))
+        conns[other] = Route((terminals[c], x, y, terminals[d]))
+    else:  # strong
+        conns[pair] = Route((ta, x, draw(st.sampled_from(others)), y, z, tb))
+    return host, clean, Certificate(r, terminals, conns), kind
+
+
+@given(_single_faults())
+@settings(max_examples=300, deadline=None)
+def test_single_fault_flips_exactly_one_flag(case):
+    host, clean, faulty, kind = case
+    assert verify(host, clean).all_ok
+    flags = verify(host, faulty).flags()
+    assert [name for name, ok in flags.items() if not ok] == [kind]
+
+
 def test_claim_levels():
     host = complete_graph(5)
     cert = Certificate(4, (0, 1, 2, 3),

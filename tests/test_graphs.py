@@ -90,11 +90,15 @@ def test_product_edge_counts_random_pairs():
         drct = direct_product(g, h)
         assert cart.m == want["cartesian"]
         assert drct.m == want["direct"]
-        assert lexicographic_product(g, h).m == want["lex"]
+        lex = lexicographic_product(g, h)
+        assert lex.m == want["lex"]
         strong = strong_product(g, h)
         assert strong.m == want["cartesian"] + want["direct"]
         assert strong.edges == cart.edges | drct.edges
         assert not (cart.edges & drct.edges)
+        # the products skip Graph's per-edge check, which must accept them
+        for p in (cart, drct, lex, strong):
+            assert Graph(p.n, p.edges, p.labels, p.name) == p
 
 
 def test_product_vertex_labels():

@@ -18,10 +18,14 @@ from toi.graphs import (
     cycle_graph,
     direct_product,
     is_bipartite,
+    lexicographic_product,
     path_graph,
+    strong_product,
 )
 from toi.solver import (
     SearchBudget,
+    _k_colorable,
+    _Ticker,
     _ToiSearch,
     check_conjecture,
     chromatic_number,
@@ -234,6 +238,8 @@ def test_search_leaves_no_reference_cycles():
         (lambda: exact_toi(cycle_graph(5)), 200),
         (lambda: exact_toi(direct_k3_k4, SearchBudget(max_nodes=3000)), 20),
         (lambda: chromatic_number(cycle_graph(7)), 200),
+        # lb 2 and ub 4, so the colouring search branches for k = 2, 3
+        (lambda: chromatic_number(mycielski(4)), 50),
     ]
     was_enabled = gc.isenabled()
     gc.collect()
@@ -267,6 +273,107 @@ def test_monotone_under_edge_addition():
     edges.add((0, 2))
     bigger = exact_toi(Graph(5, frozenset(edges))).value
     assert bigger >= base
+
+
+def mycielski(k):
+    """The Mycielski graph with chromatic number k, built from K_2 as the
+    benchmark builds it: vertex v keeps its id, its copy is n + v and the
+    apex is 2n.  Node counts depend on this numbering."""
+    g = complete_graph(2)
+    for _ in range(k - 2):
+        n = g.n
+        edges = set(g.edges)
+        for u, v in g.edges:
+            edges.update({(u, n + v), (v, n + u)})
+        edges.update((n + i, 2 * n) for i in range(n))
+        g = Graph(2 * n + 1, frozenset(edges))
+    return g
+
+
+# exact_toi node counts on the solver-exact benchmark hosts; node counts are
+# deterministic, and a change to the search order or a bound shows here first
+EXACT_TOI_NODES = {
+    "cart-K3-K3": (cartesian_product(complete_graph(3), complete_graph(3)),
+                   4, 3219),
+    "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
+                     4, 2028),
+    "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
+                   6, 7373),
+    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 72358),
+    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 1548),
+    "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
+                     6, 19011),
+    "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
+                     9, 37),
+    "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
+                  6, 16),
+    "mycielski-4": (mycielski(4), 4, 708),
+}
+
+
+@pytest.mark.parametrize("name", EXACT_TOI_NODES)
+def test_exact_toi_node_counts_are_pinned(name):
+    g, value, nodes = EXACT_TOI_NODES[name]
+    res = exact_toi(g)
+    assert (res.value, res.status, res.nodes_explored) == (value, "exact",
+                                                           nodes)
+
+
+def _brute_chi(g):
+    """Reference chromatic number, independent of the solver: the fewest
+    independent sets covering the vertices, by a DP over vertex subsets."""
+    adj = [sum(1 << w for w in g.adjacency[v]) for v in range(g.n)]
+    independent = [True] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        v = s.bit_length() - 1
+        rest = s & ~(1 << v)
+        independent[s] = independent[rest] and not adj[v] & rest
+    chi = [0] * (1 << g.n)
+    for s in range(1, 1 << g.n):
+        low = s & -s
+        # an independent set holding the lowest vertex of s, then the rest
+        best, sub = g.n, s
+        while sub:
+            if sub & low and independent[sub]:
+                best = min(best, chi[s & ~sub] + 1)
+            sub = (sub - 1) & s
+        chi[s] = best
+    return chi[-1]
+
+
+# 3-colourable graphs that DSATUR colours with 4, so chromatic_number must
+# backtrack to find chi; from a seeded search of random 8-vertex graphs
+DSATUR_SUBOPTIMAL = [Graph(8, frozenset(edges)) for edges in (
+    [(0, 3), (0, 4), (0, 5), (1, 5), (1, 6), (1, 7), (2, 3), (2, 6), (2, 7),
+     (3, 4), (3, 6), (5, 7)],
+    [(0, 3), (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (2, 4), (2, 6), (2, 7),
+     (3, 5), (4, 6), (4, 7), (5, 7)],
+    [(0, 1), (0, 2), (0, 3), (0, 7), (1, 2), (1, 6), (2, 4), (2, 5), (2, 6),
+     (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 7)],
+)]
+
+
+def test_chromatic_number_matches_brute_force():
+    # the DSATUR upper bound is almost always optimal on small graphs, which
+    # would hide a faulty k-colouring search, so that search is also asked
+    # at chi and chi - 1, and on graphs where the bound is not optimal
+    for g in DSATUR_SUBOPTIMAL:
+        assert toi.solver._dsatur(g)[1] == 4 and _brute_chi(g) == 3
+    ticker = _Ticker(SearchBudget())
+    for g in itertools.chain(_differential_graphs(), DSATUR_SUBOPTIMAL):
+        chi = _brute_chi(g)
+        res = chromatic_number(g)
+        assert (res.value, res.status) == (chi, "exact"), sorted(g.edges)
+        assert _k_colorable(g, chi, ticker)
+        assert chi == 1 or not _k_colorable(g, chi - 1, ticker)
+
+
+def test_mycielski_chromatic_numbers():
+    # the node bounds guard the DSATUR branching order
+    for k, bound in ((4, 100), (5, 2000)):
+        res = chromatic_number(mycielski(k))
+        assert (res.value, res.status) == (k, "exact")
+        assert res.nodes_explored <= bound
 
 
 CHROMATIC_CASES = [
