@@ -1,29 +1,32 @@
 """Exact small-instance computation of toi(G) and the chromatic number.
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
-systems, with degree-eligibility, bipartiteness and edge-budget pruning.  The
-chromatic number is found by DSATUR-ordered backtracking for k-colourings
-between a clique lower bound and a DSATUR upper bound.
+systems, with degree-eligibility, bipartiteness, edge-budget and
+forward-check pruning.  The chromatic number is found by DSATUR-ordered
+backtracking for k-colourings between a clique lower bound and a DSATUR
+upper bound.
 This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
 
 Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
 None.  Terminal sets skipped by the edge-budget bound (proved in
-:func:`exact_toi`) have no route system at all, so they never weaken a
-refutation.  The route length cap does, but only where it actually cut a
-branch: a refutation counts as complete unless the cap pruned a
-non-terminal neighbour while that level was searched.  An answer is exact
-when every level above it was refuted completely.  A single level is asked
-through ``exact_toi(g, budget, max_t=t)``: ``value == t`` means K_t is
-present, ``value < t`` with status "exact" means it is definitely absent.
+:func:`exact_toi`) have no route system at all, and branches cut by the
+forward check (proved in :meth:`_ToiSearch._assign`) have no completion,
+so neither weakens a refutation.  The route length cap does, but only
+where it actually cut a branch: a refutation counts as complete unless the
+cap pruned a non-terminal neighbour while that level was searched.  An
+answer is exact when every level above it was refuted completely.  A
+single level is asked through ``exact_toi(g, budget, max_t=t)``:
+``value == t`` means K_t is present, ``value < t`` with status "exact"
+means it is definitely absent.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .certificates import Certificate, Route, verify
@@ -66,13 +69,13 @@ _DEFAULT_CAP_THRESHOLD = 20
 _DEFAULT_CAP = 9
 
 
-def _effective_cap(g: Graph, budget: SearchBudget) -> Optional[int]:
+def _effective_cap(g: Graph, budget: SearchBudget) -> int:
+    """The route length cap; a simple route has at most m edges, so m
+    stands in for no cap."""
     cap = budget.max_route_length
     if cap is None:
-        cap = None if g.m <= _DEFAULT_CAP_THRESHOLD else _DEFAULT_CAP
-    if cap is not None and cap >= g.m:
-        cap = None
-    return cap
+        cap = g.m if g.m <= _DEFAULT_CAP_THRESHOLD else _DEFAULT_CAP
+    return min(cap, g.m)
 
 
 class _Ticker:
@@ -96,9 +99,7 @@ class _Ticker:
 class _ToiSearch:
     def __init__(self, g: Graph, budget: SearchBudget):
         self.g = g
-        cap = _effective_cap(g, budget)
-        # a simple route has at most m edges, so m stands in for no cap
-        self.cap = g.m if cap is None else cap
+        self.cap = _effective_cap(g, budget)
         self.ticker = _Ticker(budget)
         edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
@@ -143,8 +144,6 @@ class _ToiSearch:
         if t == 1:
             return Certificate(1, (0,)) if g.n >= 1 else None
         eligible = [v for v in range(g.n) if len(self.adj[v]) >= t - 1]
-        if len(eligible) < t:
-            return None
         order = sorted(eligible, key=lambda v: (-len(self.adj[v]), v))
         pairs = list(itertools.combinations(range(t), 2))
         for combo in itertools.combinations(order, t):
@@ -154,7 +153,7 @@ class _ToiSearch:
                 continue
             chosen = {}
             if self._assign(subset, sum(1 << v for v in subset), pairs, 0, 0,
-                            chosen):
+                            self.adj_mask, chosen):
                 cert = Certificate(t, subset,
                                    {p: Route(v) for p, v in chosen.items()})
                 report = verify(g, cert)
@@ -164,23 +163,46 @@ class _ToiSearch:
                 return cert
         return None
 
-    def _assign(self, subset, terminals, pairs, pi, used, chosen) -> bool:
+    def _assign(self, subset, terminals, pairs, pi, used, free,
+                chosen) -> bool:
         """Route pairs[pi:] edge-disjointly from ``used``, recording each
-        route in ``chosen``; True on success.
+        route in ``chosen``; True on success.  ``free[v]`` is the bit mask
+        of v's neighbours across an edge not in ``used``.
 
         No terminal can run out of free incident edges here, so none is
         checked: a route is simple and has no terminal in its interior, so
         it uses exactly one edge at each of its two terminals and none at
         any other.  A terminal v has thus spent one edge per routed pair at
         v, and deg(v) >= t - 1 (the eligibility rule of :meth:`find`)
-        leaves at least one free edge for each of its unrouted pairs."""
+        leaves at least one free edge for each of its unrouted pairs.
+
+        Forward check.  Before pairs[pi] is routed, every unrouted pair must
+        still have an odd walk on free edges with no terminal in its
+        interior (:func:`_odd_walks`); if one has none, the branch is cut
+        here instead of at that pair's level.  Proof: a strong odd route on
+        edges outside ``used``, simple or a trail, is such a walk, so a pair
+        without one has no route in any completion of ``chosen``.  The walk
+        ignores the route cap, so the check only cuts subtrees with no
+        solution with or without the cap; the DFS order, the first witness
+        and its bytes are unchanged, and ``cap_pruned`` can only be set
+        less often, which makes a status no weaker."""
         if pi == len(pairs):
             return True
         a, b = pairs[pi]
+        # pairs[pi:] are (a, b') for b' >= b, then every pair of a later row
+        cut = -(1 << subset[b])
+        for s in subset[a:-1]:
+            if not _odd_walks(s, terminals & -(2 << s) & cut, free, terminals):
+                return False
+            cut = -1
         for verts, mask in self._routes(subset[a], subset[b], used, terminals):
             chosen[(a, b)] = verts
+            rest = free.copy()
+            for u, w in zip(verts, verts[1:]):
+                rest[u] &= ~(1 << w)
+                rest[w] &= ~(1 << u)
             if self._assign(subset, terminals, pairs, pi + 1, used | mask,
-                            chosen):
+                            rest, chosen):
                 return True
             del chosen[(a, b)]
         return False
@@ -202,13 +224,31 @@ class _ToiSearch:
         return 2 * far > terminal_other or far > other_other
 
 
+def _odd_walks(src, need, free, terminals) -> bool:
+    """True when every vertex in ``need`` is joined to ``src`` by an odd
+    walk on the edges in ``free`` whose interior avoids ``terminals``;
+    BFS over (vertex, parity), one reach mask per parity."""
+    odd, even = free[src], 0
+    frontier, parity = odd & ~terminals, 1
+    while need & ~odd:
+        if not frontier:
+            return False
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= free[low.bit_length() - 1]
+            frontier ^= low
+        if parity:
+            reach, even = reach & ~even, even | reach
+        else:
+            reach, odd = reach & ~odd, odd | reach
+        frontier, parity = reach & ~terminals, 1 - parity
+    return True
+
+
 def _eligibility_bound(g: Graph) -> int:
     degs = sorted((len(a) for a in g.adjacency), reverse=True)
-    u = 0
-    for t in range(1, g.n + 1):
-        if degs[t - 1] >= t - 1:
-            u = t
-    return max(u, 1)
+    return max(t for t, d in enumerate(degs, 1) if d >= t - 1)
 
 
 def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
@@ -244,8 +284,6 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
     upper = _eligibility_bound(g)
     if is_bipartite(g)[0]:
         upper = min(upper, 2)
-    if g.m == 0:
-        upper = 1
     truncated = max_t is not None and max_t < upper
     if truncated:
         upper = max_t
@@ -267,33 +305,37 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
 
 def _greedy_clique(g: Graph) -> int:
     best = 0
+    adj_mask = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
     for v in order:
-        clique = [v]
+        # common: the vertices adjacent to every member of the clique so far
+        size, common = 1, adj_mask[v]
         for w in order:
-            if w != v and all(g.has_edge(w, x) for x in clique):
-                clique.append(w)
-        best = max(best, len(clique))
+            if common >> w & 1:
+                size += 1
+                common &= adj_mask[w]
+        best = max(best, size)
     return best
 
 
 def _dsatur(g: Graph):
-    """DSATUR coloring; returns (color list, number of colors)."""
+    """DSATUR coloring; returns (color list, number of colors).  Ties in
+    saturation go to the higher degree, then the lower id."""
     colors = [-1] * g.n
-    for _ in range(g.n):
-        best_v, best_key = -1, None
-        for v in range(g.n):
-            if colors[v] != -1:
-                continue
-            sat = len({colors[w] for w in g.adjacency[v] if colors[w] != -1})
-            key = (sat, len(g.adjacency[v]), -v)
-            if best_key is None or key > best_key:
-                best_v, best_key = v, key
-        forbidden = {colors[w] for w in g.adjacency[best_v]}
+    # the colours on each vertex's coloured neighbours
+    seen = [set() for _ in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    for _ in order:
+        v, best = -1, -1
+        for u in order:
+            if colors[u] < 0 and len(seen[u]) > best:
+                v, best = u, len(seen[u])
         c = 0
-        while c in forbidden:
+        while c in seen[v]:
             c += 1
-        colors[best_v] = c
+        colors[v] = c
+        for w in g.adjacency[v]:
+            seen[w].add(c)
     return colors, (max(colors) + 1 if g.n else 0)
 
 
@@ -371,10 +413,18 @@ class ConjectureReport:
 
 
 def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> ConjectureReport:
-    """Check chi(G) <= toi(G); asserted only when both solvers are exact."""
+    """Check chi(G) <= toi(G); asserted only when both solvers are exact.
+    The time limit covers both solvers: exact_toi gets what chi left."""
     budget = budget or SearchBudget()
+    start = time.monotonic()
     chi = chromatic_number(g, budget)
-    toi = exact_toi(g, budget)
+    if budget.time_limit is None:
+        toi = exact_toi(g, budget)
+    else:
+        left = budget.time_limit - (time.monotonic() - start)
+        toi = (exact_toi(g, replace(budget, time_limit=left))
+               if left > 0 else
+               SolveResult(1, Certificate(1, (0,)), "timeout", 0))
     satisfied = None
     if chi.status == "exact" and toi.status == "exact":
         satisfied = chi.value <= toi.value

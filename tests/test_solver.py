@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -182,13 +183,14 @@ def _differential_graphs():
         yield Graph(n, frozenset(e for e in pairs[n] if rng.random() < density))
 
 
-def test_edge_budget_bound_changes_no_answer(monkeypatch):
-    # the bound only skips terminal sets without a solution, so value and
-    # witness bytes match the unpruned search; a status may only get stronger
+def _assert_rule_changes_no_answer(monkeypatch, owner, name, off):
+    """Solve the differential graphs with a pruning rule, then again with
+    ``owner.name`` replaced by ``off``, which turns the rule off: value and
+    witness bytes must match, a status may only get stronger with the rule,
+    and the rule never adds nodes."""
     graphs = list(_differential_graphs())
     pruned = [exact_toi(g) for g in graphs]
-    monkeypatch.setattr(_ToiSearch, "_edge_budget_refutes",
-                        lambda self, subset: False)
+    monkeypatch.setattr(owner, name, off)
     for g, fast in zip(graphs, pruned):
         slow = exact_toi(g)
         assert fast.value == slow.value
@@ -197,6 +199,19 @@ def test_edge_budget_bound_changes_no_answer(monkeypatch):
         assert fast.status == slow.status or (
             fast.status, slow.status) == ("exact", "lower-bound-only")
         assert fast.nodes_explored <= slow.nodes_explored
+
+
+def test_edge_budget_bound_changes_no_answer(monkeypatch):
+    # the bound only skips terminal sets without a solution
+    _assert_rule_changes_no_answer(monkeypatch, _ToiSearch,
+                                   "_edge_budget_refutes",
+                                   lambda self, subset: False)
+
+
+def test_forward_check_changes_no_answer(monkeypatch):
+    # the check only cuts branches without a completion
+    _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_odd_walks",
+                                   lambda src, need, free, terminals: True)
 
 
 def test_capped_exact_status_is_sound():
@@ -294,20 +309,20 @@ def mycielski(k):
 # deterministic, and a change to the search order or a bound shows here first
 EXACT_TOI_NODES = {
     "cart-K3-K3": (cartesian_product(complete_graph(3), complete_graph(3)),
-                   4, 3219),
+                   4, 1761),
     "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
-                     4, 2028),
+                     4, 949),
     "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
-                   6, 7373),
-    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 72358),
-    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 1548),
+                   6, 3796),
+    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 20947),
+    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 826),
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
-                     6, 19011),
+                     6, 5521),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
                      9, 37),
     "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
                   6, 16),
-    "mycielski-4": (mycielski(4), 4, 708),
+    "mycielski-4": (mycielski(4), 4, 355),
 }
 
 
@@ -317,6 +332,27 @@ def test_exact_toi_node_counts_are_pinned(name):
     res = exact_toi(g)
     assert (res.value, res.status, res.nodes_explored) == (value, "exact",
                                                            nodes)
+
+
+# chromatic_number (chi, nodes) on every solver-exact benchmark host; a host
+# with 0 nodes has clique bound == DSATUR bound, so a change to either bound
+# shows here
+CHROMATIC_NODES = {
+    name: (EXACT_TOI_NODES[name][0] if name in EXACT_TOI_NODES
+           else mycielski(5), chi, nodes)
+    for name, chi, nodes in [
+        ("cart-K3-K3", 3, 0), ("direct-K3-K3", 3, 0), ("cart-K3-K4", 4, 0),
+        ("direct-C5-C5", 3, 17), ("cart-C5-P3", 3, 5), ("direct-K3-K4", 3, 0),
+        ("strong-K3-K3", 9, 0), ("lex-K2-K3", 6, 0), ("mycielski-4", 4, 32),
+        ("mycielski-5", 5, 935)]
+}
+
+
+@pytest.mark.parametrize("name", CHROMATIC_NODES)
+def test_chromatic_node_counts_are_pinned(name):
+    g, chi, nodes = CHROMATIC_NODES[name]
+    res = chromatic_number(g)
+    assert (res.value, res.status, res.nodes_explored) == (chi, "exact", nodes)
 
 
 def _brute_chi(g):
@@ -368,6 +404,36 @@ def test_chromatic_number_matches_brute_force():
         assert chi == 1 or not _k_colorable(g, chi - 1, ticker)
 
 
+def _plain_bounds(g):
+    """The greedy clique size and the DSATUR colouring by plain scans of
+    the graph, a reference for the solver's incremental versions."""
+    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    clique = 0
+    for v in order:
+        members = [v]
+        for w in order:
+            if w != v and all(g.has_edge(w, x) for x in members):
+                members.append(w)
+        clique = max(clique, len(members))
+    colors = [-1] * g.n
+    for _ in range(g.n):
+        v = max((u for u in range(g.n) if colors[u] < 0), key=lambda u: (
+            len({colors[w] for w in g.adjacency[u]} - {-1}),
+            len(g.adjacency[u]), -u))
+        used = {colors[w] for w in g.adjacency[v]}
+        colors[v] = min(c for c in range(g.n) if c not in used)
+    return clique, colors
+
+
+def test_colouring_bounds_match_plain_scans():
+    # the bounds set chromatic_number's search range, so their exact output,
+    # colours included, is pinned against the plain scans
+    for g in itertools.chain(_differential_graphs(), DSATUR_SUBOPTIMAL):
+        clique, colors = _plain_bounds(g)
+        assert toi.solver._greedy_clique(g) == clique
+        assert toi.solver._dsatur(g) == (colors, max(colors) + 1)
+
+
 def test_mycielski_chromatic_numbers():
     # the node bounds guard the DSATUR branching order
     for k, bound in ((4, 100), (5, 2000)):
@@ -403,6 +469,35 @@ def test_check_conjecture_k6():
     rep = check_conjecture(complete_graph(6))
     assert rep.chi.value == 6 and rep.toi.value == 6
     assert rep.satisfied is True
+
+
+def test_check_conjecture_shares_one_time_limit(monkeypatch):
+    # exact_toi gets only the time chromatic_number left, and none at all
+    # once chromatic_number has spent the whole limit
+    clock = [100.0]
+    monkeypatch.setattr(toi.solver, "time",
+                        types.SimpleNamespace(monotonic=lambda: clock[0]))
+    spent, limits = [0.0], []
+
+    def timed_chi(g, budget):
+        clock[0] += spent[0]
+        return chromatic_number(g, budget)
+
+    def timed_toi(g, budget):
+        limits.append(budget.time_limit)
+        return exact_toi(g, budget)
+
+    monkeypatch.setattr(toi.solver, "chromatic_number", timed_chi)
+    monkeypatch.setattr(toi.solver, "exact_toi", timed_toi)
+    spent[0] = 4.0
+    rep = check_conjecture(cycle_graph(5), SearchBudget(time_limit=10.0))
+    assert limits == [6.0] and rep.satisfied is True
+    spent[0] = 10.0
+    rep = check_conjecture(cycle_graph(5), SearchBudget(time_limit=10.0))
+    assert limits == [6.0]
+    assert (rep.toi.status, rep.toi.value, rep.toi.nodes_explored) == (
+        "timeout", 1, 0)
+    assert rep.chi.status == "exact" and rep.satisfied is None
 
 
 def test_check_conjecture_indeterminate_on_timeout():
