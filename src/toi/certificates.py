@@ -10,6 +10,7 @@ requires simple routes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import operator
 from dataclasses import dataclass, field
@@ -39,6 +40,13 @@ class Route:
         if any(map(operator.eq, vs, vs[1:])):
             a = next(a for a, b in zip(vs, vs[1:]) if a == b)
             raise ValueError(f"route repeats vertex {a} immediately")
+
+    @classmethod
+    def _trusted(cls, vertices: tuple) -> "Route":
+        """``Route(vertices)`` without the checks, which the caller has made."""
+        route = object.__new__(cls)
+        object.__setattr__(route, "vertices", vertices)
+        return route
 
     @property
     def edge_count(self) -> int:
@@ -280,6 +288,38 @@ def parse_certificate(text: str) -> Certificate:
         _require(type(v) is int and v >= 0, "terminals[%d]: bad vertex id %r", i, v)
     conns_doc = doc.get("connections")
     _require(isinstance(conns_doc, list), "connections: expected a list")
+    connections = (_bulk_connections(conns_doc, r)
+                   or _checked_connections(conns_doc, r))
+    return Certificate(r, tuple(terminals), connections)
+
+
+def _bulk_connections(conns_doc: list, r: int) -> Optional[dict]:
+    """The connections in the writer's layout, each property checked over
+    the whole list; None on any anomaly, for _checked_connections to name."""
+    try:  # a non-object entry raises TypeError, a missing key KeyError
+        pairs = list(map(operator.itemgetter("pair"), conns_doc))
+        vert_lists = list(map(operator.itemgetter("vertices"), conns_doc))
+    except (KeyError, TypeError):
+        return None
+    # pairs equal to the ascending pair list are in range, ordered, distinct
+    # and complete; the type test keeps out bools and floats equal to ints
+    keys = list(itertools.combinations(range(r), 2))
+    if (set(map(type, pairs)) != {list} or list(map(tuple, pairs)) != keys
+            or set(map(type, itertools.chain.from_iterable(pairs))) != {int}
+            or set(map(type, vert_lists)) != {list}
+            or min(map(len, vert_lists)) < 2):
+        return None
+    # one flat list: an equal neighbour there is an immediate repeat, or a
+    # route ending where the next begins, which the per-entry loop sorts out
+    flat = list(itertools.chain.from_iterable(vert_lists))
+    if (set(map(type, flat)) != {int} or min(flat) < 0
+            or any(map(operator.eq, flat, itertools.islice(flat, 1, None)))):
+        return None
+    return dict(zip(keys, map(Route._trusted, map(tuple, vert_lists))))
+
+
+def _checked_connections(conns_doc: list, r: int) -> dict:
+    """The connections of any document; the error names the first bad entry."""
     connections = {}
     for i, entry in enumerate(conns_doc):
         _require(isinstance(entry, dict), "connections[%d]: expected an object", i)
@@ -310,4 +350,4 @@ def parse_certificate(text: str) -> Certificate:
         a, b = next((a, b) for a in range(r) for b in range(a + 1, r)
                     if (a, b) not in connections)
         raise CertificateSchemaError(f"connections: missing pair ({a}, {b})")
-    return Certificate(r, tuple(terminals), connections)
+    return connections

@@ -9,7 +9,6 @@ against products are byte-stable.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -96,18 +95,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
-
-    @property
-    def pair_index(self) -> Optional[PairIndex]:
-        if self.labels is None:
-            return None
-        n_h = max(h for _, h in self.labels) + 1 if self.n else 0
-        return PairIndex(n_h)
 
 
 def _make(n: int, edge_iter: Iterable, name: str = "", labels=None) -> Graph:
@@ -248,26 +237,40 @@ def write_graph_text(g: Graph) -> str:
     """The ``p toi`` text of ``g``: the problem line, then one ``e u v`` line
     per edge ascending by ``(u, v)``, then, for a labeled graph, one
     ``l v g h`` line per vertex ascending by ``v``."""
+    # only the higher neighbours are printed: skip the two-sided adjacency
+    higher = [[] for _ in range(g.n)]
+    for u, v in g.edges:
+        higher[u].append(v)
     lines = [f"p toi {g.n} {g.m}"]
-    for u, nbrs in enumerate(g.adjacency):
-        higher = nbrs[bisect_right(nbrs, u):]
-        if higher:
-            lines.append(f"e {u} " + f"\ne {u} ".join(map(str, higher)))
+    for u, nbrs in enumerate(higher):
+        if nbrs:
+            nbrs.sort()
+            lines.append(f"e {u} " + f"\ne {u} ".join(map(str, nbrs)))
     if g.labels is not None:
         lines.extend(f"l {v} {a} {b}" for v, (a, b) in enumerate(g.labels))
     return "\n".join(lines) + "\n"
+
+
+class _TokenInts(dict):
+    """Token -> ``int(token)``, filled on a miss: a file's edges share one
+    int per distinct token, and the table never outgrows the tokens."""
+
+    def __missing__(self, token):
+        value = self[token] = int(token)
+        return value
 
 
 def read_graph_text(text: str) -> Graph:
     n = m = None
     edges = []
     label_map = {}
+    ids = _TokenInts()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         # hot path first: a well-formed edge line after the problem line
         if len(parts) == 3 and parts[0] == "e" and n is not None:
             try:
-                u, v = int(parts[1]), int(parts[2])
+                u, v = ids[parts[1]], ids[parts[2]]
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer endpoints") from None
             if not (0 <= u < v < n):

@@ -88,9 +88,10 @@ class _Ticker:
                          if budget.time_limit is not None else None)
 
     def tick(self):
-        self.nodes += 1
-        if self.nodes > self.max_nodes:
+        # the node past the budget is refused uncounted: nodes <= max_nodes
+        if self.nodes >= self.max_nodes:
             raise _BudgetExhausted
+        self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
             if time.monotonic() > self.deadline:
                 raise _BudgetExhausted
@@ -414,17 +415,20 @@ class ConjectureReport:
 
 def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> ConjectureReport:
     """Check chi(G) <= toi(G); asserted only when both solvers are exact.
-    The time limit covers both solvers: exact_toi gets what chi left."""
+    The time limit and the node budget cover both solvers: exact_toi gets
+    what chi left of each, and times out at once if chi left nothing."""
     budget = budget or SearchBudget()
     start = time.monotonic()
     chi = chromatic_number(g, budget)
-    if budget.time_limit is None:
-        toi = exact_toi(g, budget)
+    nodes = budget.max_nodes - chi.nodes_explored
+    seconds = (None if budget.time_limit is None
+               else budget.time_limit - (time.monotonic() - start))
+    if nodes <= 0 or (seconds is not None and seconds <= 0):
+        toi = SolveResult(1, Certificate(1, (0,)), "timeout", 0)
+    elif nodes == budget.max_nodes and seconds is None:
+        toi = exact_toi(g, budget)  # chi spent nothing: skip the copy
     else:
-        left = budget.time_limit - (time.monotonic() - start)
-        toi = (exact_toi(g, replace(budget, time_limit=left))
-               if left > 0 else
-               SolveResult(1, Certificate(1, (0,)), "timeout", 0))
+        toi = exact_toi(g, replace(budget, max_nodes=nodes, time_limit=seconds))
     satisfied = None
     if chi.status == "exact" and toi.status == "exact":
         satisfied = chi.value <= toi.value

@@ -1,12 +1,15 @@
 """Certificate model, verification flags, serialization, mutation soundness."""
 
+import copy
 import hashlib
 import json
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import toi.certificates
 from toi.certificates import (
     Certificate,
     CertificateSchemaError,
@@ -397,6 +400,93 @@ def test_round_trip_identity_any_size(t):
 def test_parse_rejects_malformed(text):
     with pytest.raises(CertificateSchemaError):
         parse_certificate(text)
+
+
+def _pick_vertex(conns, rng):
+    verts = rng.choice(conns)["vertices"]
+    return verts, rng.randrange(len(verts))
+
+
+def _meet_next(conns, rng):
+    # valid: route i ends where route i + 1 begins
+    i = rng.randrange(len(conns) - 1)
+    conns[i + 1]["vertices"][0] = conns[i]["vertices"][-1]
+
+
+def _set_pair_item(conns, rng, value):
+    rng.choice(conns)["pair"][rng.randrange(2)] = value
+
+
+def _set_vertex(conns, rng, value):
+    verts, j = _pick_vertex(conns, rng)
+    verts[j] = value
+
+
+def _repeat_vertex(conns, rng):
+    verts, j = _pick_vertex(conns, rng)
+    verts.insert(j, verts[j])
+
+
+# single mutations of a canonical connections list, some of them valid
+_CONNECTION_MUTATIONS = {
+    "drop": lambda c, rng: c.pop(rng.randrange(len(c))),
+    "duplicate": lambda c, rng: c.insert(rng.randrange(len(c) + 1),
+                                         copy.deepcopy(rng.choice(c))),
+    "swap": lambda c, rng: c.reverse() if rng.random() < 0.2 else
+    c.insert(rng.randrange(len(c)), c.pop(rng.randrange(len(c)))),
+    "truncate": lambda c, rng: c.__delitem__(slice(rng.randrange(len(c)), None)),
+    "non-dict": lambda c, rng: c.__setitem__(
+        rng.randrange(len(c)), rng.choice([None, 0, "x", [], [0, 1]])),
+    "no-pair": lambda c, rng: rng.choice(c).pop("pair"),
+    "no-vertices": lambda c, rng: rng.choice(c).pop("vertices"),
+    "extra-key": lambda c, rng: rng.choice(c).update(note=1),
+    "pair-retype": lambda c, rng: _set_pair_item(
+        c, rng, rng.choice([True, False, 1.0, "1", None])),
+    "pair-shift": lambda c, rng: _set_pair_item(
+        c, rng, rng.choice([-1, 0, 1, 7, 8, 9])),
+    "pair-reverse": lambda c, rng: rng.choice(c)["pair"].reverse(),
+    "pair-length": lambda c, rng: rng.choice(c).update(
+        pair=rng.choice([[], [0], [0, 1, 2]])),
+    "pair-not-list": lambda c, rng: rng.choice(c).update(
+        pair=rng.choice([None, 1, "0,1", {"a": 0}])),
+    "vertex-retype": lambda c, rng: _set_vertex(
+        c, rng, rng.choice([True, False, 2.0, "3", None, [1]])),
+    "vertex-negate": lambda c, rng: _set_vertex(c, rng, -1 - rng.randrange(3)),
+    "vertex-repeat": _repeat_vertex,
+    "vertices-truncate": lambda c, rng: rng.choice(c).update(
+        vertices=rng.choice([[], [0]])),
+    "vertices-not-list": lambda c, rng: rng.choice(c).update(
+        vertices=rng.choice([None, 5, "0 1", {}])),
+    "meet-next": _meet_next,
+}
+
+
+def _parse_outcome(text):
+    try:
+        return "ok", parse_certificate(text)
+    except CertificateSchemaError as exc:
+        return type(exc), str(exc)
+
+
+def test_bulk_parse_matches_per_entry_parse(monkeypatch):
+    # the bulk check must accept the writer's layout and, on every mutated
+    # document, agree with the per-entry loop: the same certificate or the
+    # same error text
+    text = serialize_certificate(Certificate(8, tuple(range(8)), {
+        (a, b): Route((a, 10 + a, 20 + b, b) if (a + b) % 2 else (a, b))
+        for a in range(8) for b in range(a + 1, 8)}))
+    assert toi.certificates._bulk_connections(json.loads(text)["connections"], 8)
+    rng = random.Random(9)
+    names = sorted(_CONNECTION_MUTATIONS)
+    docs = []
+    for _ in range(1000):
+        doc = json.loads(text)
+        _CONNECTION_MUTATIONS[rng.choice(names)](doc["connections"], rng)
+        docs.append(json.dumps(doc))
+    bulk = [_parse_outcome(d) for d in docs]
+    monkeypatch.setattr(toi.certificates, "_bulk_connections", lambda conns, r: None)
+    assert bulk == [_parse_outcome(d) for d in docs]
+    assert {kind for kind, _ in bulk} == {"ok", CertificateSchemaError}
 
 
 def test_parse_reports_location():

@@ -230,6 +230,15 @@ def test_text_format_rejects_malformed(text, message):
     assert str(err.value) == message
 
 
+def test_reader_shares_one_int_per_vertex_id():
+    # n > 256 puts ids past CPython's small-int cache, so a fresh int per
+    # endpoint would show as more objects than values
+    g = read_graph_text(write_graph_text(
+        direct_product(complete_graph(20), complete_graph(15))))
+    assert g.n == 300
+    assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
+
+
 @pytest.mark.parametrize("edges, message", [
     ({(1, 1)}, "self-loop at vertex 1"),
     ({(2, 1)}, "edge (2, 1) is not canonical or out of range"),

@@ -112,6 +112,8 @@ def test_tiny_budget_times_out():
     res = exact_toi(g, SearchBudget(max_nodes=5))
     assert res.status == "timeout"
     assert res.value == 1
+    # the refused sixth node is not counted
+    assert res.nodes_explored == 5
 
 
 def test_max_t_truncation_is_lower_bound_only():
@@ -498,6 +500,19 @@ def test_check_conjecture_shares_one_time_limit(monkeypatch):
     assert (rep.toi.status, rep.toi.value, rep.toi.nodes_explored) == (
         "timeout", 1, 0)
     assert rep.chi.status == "exact" and rep.satisfied is None
+
+
+@pytest.mark.parametrize("max_nodes, chi_nodes, toi_nodes", [
+    (20, 20, 0),     # chi spends it all: toi times out without a node
+    (32, 32, 0),
+    (360, 32, 328),  # toi needs 355 and gets only what chi left
+    (387, 32, 355),
+])
+def test_check_conjecture_shares_one_node_budget(max_nodes, chi_nodes, toi_nodes):
+    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=max_nodes))
+    assert rep.chi.nodes_explored + rep.toi.nodes_explored <= max_nodes
+    assert (rep.chi.nodes_explored, rep.toi.nodes_explored) == (chi_nodes, toi_nodes)
+    assert rep.satisfied is (True if max_nodes == 387 else None)
 
 
 def test_check_conjecture_indeterminate_on_timeout():
