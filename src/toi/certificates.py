@@ -296,6 +296,9 @@ def parse_certificate(text: str) -> Certificate:
 def _bulk_connections(conns_doc: list, r: int) -> Optional[dict]:
     """The connections in the writer's layout, each property checked over
     the whole list; None on any anomaly, for _checked_connections to name."""
+    # first, so the pair list built below is never longer than the input
+    if len(conns_doc) != r * (r - 1) // 2:
+        return None
     try:  # a non-object entry raises TypeError, a missing key KeyError
         pairs = list(map(operator.itemgetter("pair"), conns_doc))
         vert_lists = list(map(operator.itemgetter("vertices"), conns_doc))

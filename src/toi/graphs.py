@@ -95,8 +95,18 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
+    def neighbors(self, v: int) -> tuple:
+        return self.adjacency[v]
+
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
+
+    @property
+    def pair_index(self) -> Optional[PairIndex]:
+        if self.labels is None:
+            return None
+        n_h = max(h for _, h in self.labels) + 1 if self.n else 0
+        return PairIndex(n_h)
 
 
 def _make(n: int, edge_iter: Iterable, name: str = "", labels=None) -> Graph:

@@ -425,8 +425,6 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
                else budget.time_limit - (time.monotonic() - start))
     if nodes <= 0 or (seconds is not None and seconds <= 0):
         toi = SolveResult(1, Certificate(1, (0,)), "timeout", 0)
-    elif nodes == budget.max_nodes and seconds is None:
-        toi = exact_toi(g, budget)  # chi spent nothing: skip the copy
     else:
         toi = exact_toi(g, replace(budget, max_nodes=nodes, time_limit=seconds))
     satisfied = None

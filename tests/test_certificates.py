@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +488,22 @@ def test_bulk_parse_matches_per_entry_parse(monkeypatch):
     monkeypatch.setattr(toi.certificates, "_bulk_connections", lambda conns, r: None)
     assert bulk == [_parse_outcome(d) for d in docs]
     assert {kind for kind, _ in bulk} == {"ok", CertificateSchemaError}
+
+
+def test_parse_memory_follows_the_input_not_clique_size():
+    # a short document naming a large clique: the r(r-1)/2 = 1,999,000
+    # expected pairs must not be built before the list is found too short
+    text = json.dumps({"clique_size": 2000, "terminals": [0] * 2000,
+                       "connections": []})
+    tracemalloc.start()
+    try:
+        with pytest.raises(CertificateSchemaError,
+                           match=r"^connections: missing pair \(0, 1\)$"):
+            parse_certificate(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_parse_reports_location():
