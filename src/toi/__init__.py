@@ -32,7 +32,6 @@ from .constructions import (
 from .graphs import (
     Graph,
     GraphFormatError,
-    PairIndex,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -63,7 +62,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "MalformedCertificateError",
-    "PairIndex",
     "Route",
     "SearchBudget",
     "SolveResult",

@@ -59,6 +59,13 @@ _PRODUCTS = {
 }
 
 
+# construct kinds that build from two factor immersions in G [] H
+_CARTESIAN_BUILDERS = {
+    "cart-large": cartesian_large,
+    "cart-33": cartesian_33,
+}
+
+
 class _UsageError(Exception):
     pass
 
@@ -166,16 +173,11 @@ def _build_certificate(args):
             # strongness and route simplicity of the lift are reported, not
             # required; the guaranteed level is totally odd
             return host, direct_lift(fg, fh, base), "totally-odd"
-        if kind == "cart-large":
+        if kind in _CARTESIAN_BUILDERS:
             fg = _factor(args.g, args.g_cert)
             fh = _factor(args.h, args.h_cert)
             host = cartesian_product(fg.host, fh.host)
-            return host, cartesian_large(fg, fh), "totally-odd-strong"
-        if kind == "cart-33":
-            fg = _factor(args.g, args.g_cert)
-            fh = _factor(args.h, args.h_cert)
-            host = cartesian_product(fg.host, fh.host)
-            return host, cartesian_33(fg, fh), "totally-odd-strong"
+            return host, _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong"
         if kind == "cart-32":
             g = _read_graph(args.g)
             h = _read_graph(args.h)
@@ -303,35 +305,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_factor_args(p, with_certs=True)
     p.add_argument("--base", required=True,
                    help="certificate file for the terminal grid")
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--emit-graph", help="also write the host product graph")
-    p.set_defaults(func=_cmd_construct)
 
     p = csub.add_parser("direct-kts",
                         help="K_{ts} certificate in K_{2t} x K_s")
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--emit-graph", help="also write the host product graph")
-    p.set_defaults(func=_cmd_construct)
 
     for kind, blurb in (("cart-large",
                          "K_{t+s-1} certificate in a Cartesian product, s >= 4"),
                         ("cart-33",
                          "K_4 certificate from two K_3 factor immersions")):
-        p = csub.add_parser(kind, help=blurb)
-        _add_factor_args(p, with_certs=True)
-        p.add_argument("-o", "--output", required=True)
-        p.add_argument("--emit-graph", help="also write the host product graph")
-        p.set_defaults(func=_cmd_construct)
+        _add_factor_args(csub.add_parser(kind, help=blurb), with_certs=True)
 
     p = csub.add_parser("cart-32",
                         help="K_4 certificate from an odd cycle and a "
                              "degree-2 vertex")
     _add_factor_args(p, with_certs=False)
-    p.add_argument("-o", "--output", required=True)
-    p.add_argument("--emit-graph", help="also write the host product graph")
-    p.set_defaults(func=_cmd_construct)
+
+    # every kind takes the same output options, after its own
+    for p in csub.choices.values():
+        p.add_argument("-o", "--output", required=True)
+        p.add_argument("--emit-graph", help="also write the host product graph")
+        p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("solve", help="compute toi exactly by search")
     p.add_argument("graph")

@@ -14,7 +14,7 @@ off-by-one drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .certificates import Certificate, Route, concatenate_routes, verify
 from .graphs import (Graph, complete_graph, direct_product, find_p3_center,
@@ -254,7 +254,18 @@ def _kts_pattern_routes(t: int, s: int):
                         verts = [(r, j), (2 * i, j - 1), (2 * i + 6, j - (s - 2)), (r2, j)]
                         tag = "col-adjacent-wrap-low"
                     else:
-                        verts = [(r, j), (2 * i - 4, j - (s - 2)), (2 * i, j - (s - 3)), (r2, j)]
+                        # rows (2t-5, 2t-3) and (2t-3, 2t-1) in columns s-1
+                        # and s; the interiors do not depend on t, and for
+                        # s = 5, 6 one moves off the terminal's column or
+                        # off an edge another route uses
+                        upper = i == t - 1
+                        if j == s:
+                            mid = [(2, 1), (4, 4 if upper else 3)]
+                        elif not upper:
+                            mid = [(2, 2), (4, 5 if s == 5 else 4)]
+                        else:
+                            mid = [(2, 2), {5: (6, 3), 6: (4, 6)}.get(s, (4, 5))]
+                        verts = [(r, j), *mid, (r2, j)]
                         tag = "col-adjacent-wrap-high"
                 else:
                     if j <= s - 2:
@@ -272,77 +283,23 @@ def _kts_pattern_routes(t: int, s: int):
                 yield (r, j), (r2, j), verts, tag
 
 
-def _grid_edges(verts, enc):
-    ids = [enc(c) for c in verts]
-    return [(min(a, b), max(a, b)) for a, b in zip(ids, ids[1:])]
-
-
 def direct_kts_routes(t: int, s: int):
     """All connector routes of the K_{ts} certificate in K_{2t} x K_s.
 
     Returns ``(singles, paths)``: ``singles`` lists the terminal-terminal
     edges as ``(cell_a, cell_b)`` and ``paths`` lists
     ``(cell_a, cell_b, verts, tag)``, with 1-based grid cells and ``cell_a``
-    the terminal of lower index (earlier in row-major order).  Routes whose
-    literal index pattern collides with edges already claimed are re-routed
-    through fresh even-row interior vertices and tagged with a ``+reroute``
-    suffix.
+    the terminal of lower index (earlier in row-major order).  Every path is
+    a closed-form route of the case named by its tag: three edges, each
+    with an even-row end, so no path shares an edge with a single.
     """
     if t < 6 or s < 5:
         raise ValueError("requires t >= 6 and s >= 5")
-
-    def enc(cell):
-        i, j = cell
-        return (i - 1) * s + (j - 1)
-
-    # each cross pair is one edge of its own; it joins two odd rows, while
-    # every edge of a pattern or replacement route has an even-row end, so
-    # the two never collide and ``used`` holds only the latter
     singles = [((2 * i - 1, j), (2 * i2 - 1, j2))
                for i in range(1, t + 1) for j in range(1, s + 1)
                for i2 in range(i + 1, t + 1) for j2 in range(1, s + 1)
                if j2 != j]
-    used = set()
-
-    paths = []
-    deferred = []
-    for a, b, verts, tag in _kts_pattern_routes(t, s):
-        edges = _grid_edges(verts, enc)
-        if any(e in used for e in edges) or len(set(edges)) != len(edges):
-            deferred.append((a, b))
-            continue
-        used.update(edges)
-        paths.append((a, b, verts, tag))
-
-    for a, b in deferred:
-        verts = _reroute(a, b, t, s, used, enc)
-        used.update(_grid_edges(verts, enc))
-        paths.append((a, b, verts, "col-skip-wrap+reroute"))
-    return singles, paths
-
-
-def _reroute(a, b, t, s, used, enc):
-    """Deterministic replacement length-3 route through two even-row interiors."""
-    (ia, ja), (ib, jb) = a, b
-    for ex in range(2, 2 * t + 1, 2):
-        for jx in range(1, s + 1):
-            if jx == ja:
-                continue
-            e1 = tuple(sorted((enc(a), enc((ex, jx)))))
-            if e1 in used:
-                continue
-            for ey in range(2, 2 * t + 1, 2):
-                if ey == ex:
-                    continue
-                for jy in range(1, s + 1):
-                    if jy == jx or jy == jb:
-                        continue
-                    e2 = tuple(sorted((enc((ex, jx)), enc((ey, jy)))))
-                    e3 = tuple(sorted((enc((ey, jy)), enc(b))))
-                    if e2 in used or e3 in used or e2 == e1 or e3 in (e1, e2):
-                        continue
-                    return [a, (ex, jx), (ey, jy), b]
-    raise RuntimeError(f"no replacement route between {a} and {b}")
+    return singles, list(_kts_pattern_routes(t, s))
 
 
 def direct_kts(t: int, s: int) -> Certificate:

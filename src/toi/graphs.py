@@ -19,19 +19,6 @@ class GraphFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class PairIndex:
-    """Row-major encoding of product vertices: ``encode(g, h) = g * n_h + h``."""
-
-    n_h: int
-
-    def encode(self, g: int, h: int) -> int:
-        return g * self.n_h + h
-
-    def decode(self, v: int) -> tuple[int, int]:
-        return divmod(v, self.n_h)
-
-
-@dataclass(frozen=True)
 class Graph:
     """A finite, simple, loopless undirected graph.
 
@@ -95,18 +82,8 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         return (min(u, v), max(u, v)) in self.edges
 
-    def neighbors(self, v: int) -> tuple:
-        return self.adjacency[v]
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
-
-    @property
-    def pair_index(self) -> Optional[PairIndex]:
-        if self.labels is None:
-            return None
-        n_h = max(h for _, h in self.labels) + 1 if self.n else 0
-        return PairIndex(n_h)
 
 
 def _make(n: int, edge_iter: Iterable, name: str = "", labels=None) -> Graph:

@@ -9,7 +9,7 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import ACCEPTANCE_LINES
+from conftest import ACCEPTANCE_LINES, kts_declared_classes
 
 from toi.certificates import Certificate, Route, verify
 from toi.constructions import (
@@ -121,34 +121,12 @@ def _kts_nonterminal_edges(t, s):
     return out
 
 
-def _declared_classes(t, s, tag, cells):
-    (i, j), (i2, j2) = cells
-    i, i2 = (i + 1) // 2, (i2 + 1) // 2  # back to clique row indices
-    d = abs(j2 - j)
-    z = i2 - i
-    return {
-        "row": [(1, -1, d), (0, 2, d), (0, 3, d)],
-        "row-wrap": [(1, -1, d), (0, 2 - 2 * t, d), (0, 3 - 2 * t, d)],
-        "col-adjacent": [(1, -3, 2), (0, -2, 1), (1, 1, 1)],
-        "col-adjacent-wrap-low": [(0, 1, 1), (0, 6, s - 3), (0, 5, s - 2)],
-        "col-adjacent-wrap-high": [(0, -3, s - 2), (0, -4, 1),
-                                   (0, -1, s - 3)],
-        "col-skip": [(1, -(2 * z + 1), 1), (0, 2 * z, 1), (1, 2 * z - 1, 2)],
-        "col-skip-wrap-a": [(1, -(2 * z + 1), 1), (0, -2 * z, s - 1),
-                            (0, 1 - 2 * z, s - 2)],
-        "col-skip-wrap-b": [(0, 2 * z + 1, s - 1), (0, 2 * z, 1),
-                            (0, 1 - 2 * z, s - 2)],
-        "col-skip-extreme": [(0, 2 * t - 1, 1), (0, -6, 1), (0, -5, 2)],
-    }[tag]
-
-
 def test_criterion_5_edge_class_laws():
     t, s = 6, 5
     _, paths = direct_kts_routes(t, s)
-    rerouted = sum(1 for p in paths if p[3].endswith("+reroute"))
     with criterion(5, "edge classes on K12 x K5: equal class iff "
-                      "translation, exhaustively; route edges match their "
-                      f"case classes ({rerouted} rerouted routes exempt)"):
+                      "translation, exhaustively; every route's edges match "
+                      "its case classes"):
         edges = _kts_nonterminal_edges(t, s)
         classes = [edge_class(t, s, *e) for e in edges]
         for a in range(len(edges)):
@@ -161,9 +139,7 @@ def test_criterion_5_edge_class_laws():
             return (cell[0] - 1) * s + (cell[1] - 1)
 
         for ca, cb, verts, tag in paths:
-            if tag.endswith("+reroute"):
-                continue
-            want = _declared_classes(t, s, tag, (ca, cb))
+            want = kts_declared_classes(t, s, (ca, cb))[tag]
             ids = [enc(c) for c in verts]
             got = [edge_class(t, s, min(u, v), max(u, v))
                    for u, v in zip(ids, ids[1:])]

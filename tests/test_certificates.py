@@ -527,9 +527,15 @@ def test_certificate_rejects_out_of_range_pair_keys():
 
 
 def test_serialized_bytes_are_pinned():
-    text = serialize_certificate(direct_kts(6, 5))
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5ecc1fcc24d242dc9b11a1a13516625a660463c0ce9313f284e1c4b66392b0dd")
+    # one instance per branch of direct_kts's col-adjacent-wrap-high case:
+    # s = 5, s = 6 and s >= 7
+    for (t, s), digest in {
+        (6, 5): "5ecc1fcc24d242dc9b11a1a13516625a660463c0ce9313f284e1c4b66392b0dd",
+        (6, 6): "3115c1c7202c38c7cced9111e1c6921604dc80cf6742936faccfb378ba1e266e",
+        (7, 9): "8f5ff1920ee8eb3ec6c70c86906125a751fc7fb044e6dd0aa1ea8d0d76f96ab4",
+    }.items():
+        text = serialize_certificate(direct_kts(t, s))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, (t, s)
 
 
 def _reference_line(pair, route):

@@ -3,6 +3,7 @@
 import itertools
 
 import pytest
+from conftest import kts_declared_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -237,46 +238,44 @@ def test_direct_kts_rejects_small_parameters():
             direct_kts(t, s)
 
 
-# expected class (parity, row diff, column diff) per route tag, as functions
-# of (t, s, column gap d); wrap-around and rerouted tags are exempt
-def _case_classes(t, s, d):
-    return {
-        "row": [(1, -1, d), (0, 2, d), (0, 3, d)],
-        "row-wrap": [(1, -1, d), (0, 2 - 2 * t, d), (0, 3 - 2 * t, d)],
-        "col-adjacent": [(1, -3, 2), (0, -2, 1), (1, 1, 1)],
-        "col-adjacent-wrap-low": [(0, 1, 1), (0, 6, s - 3), (0, 5, s - 2)],
-        "col-adjacent-wrap-high": [(0, -3, s - 2), (0, -4, 1), (0, -1, s - 3)],
-    }
-
-
-@pytest.mark.parametrize("t,s", [(6, 5), (7, 6)])
+@pytest.mark.parametrize("t,s", [(6, 5), (7, 6), (8, 9)])
 def test_direct_kts_route_edges_fall_in_declared_classes(t, s):
     _, paths = direct_kts_routes(t, s)
-    declared = set(_case_classes(t, s, 1))
 
     def enc(cell):
         return (cell[0] - 1) * s + (cell[1] - 1)
 
-    checked = 0
     for ca, cb, verts, tag in paths:
-        if tag not in declared:
-            continue
-        d = abs(ca[1] - cb[1])
-        want = _case_classes(t, s, d)[tag]
+        want = kts_declared_classes(t, s, (ca, cb))[tag]
         ids = [enc(c) for c in verts]
         got = [edge_class(t, s, min(u, v), max(u, v))
                for u, v in zip(ids, ids[1:])]
         assert sorted(got) == sorted(want), (tag, ca, cb)
-        checked += 1
-    assert checked > 0
 
 
-def test_direct_kts_reroutes_are_marked_and_scarce():
-    _, paths = direct_kts_routes(6, 5)
-    rerouted = [p for p in paths if p[3].endswith("+reroute")]
-    assert len(rerouted) <= 8
-    for _, _, verts, _ in rerouted:
-        assert len(verts) == 4  # still three edges, odd
+@pytest.mark.parametrize("t,s", [(6, 5), (6, 6), (7, 9), (14, 14)])
+def test_direct_kts_tags_are_declared(t, s):
+    _, paths = direct_kts_routes(t, s)
+    for ca, cb, _, tag in paths:
+        assert tag in kts_declared_classes(t, s, (ca, cb)), tag
+
+
+def test_direct_kts_paths_are_edge_disjoint_three_edge_routes():
+    # what verify's edge-disjointness check needs of the route table, with
+    # no certificate built: every path has three direct-product edges, each
+    # with an even-row end (so none is a terminal-terminal single), and no
+    # two paths share an edge
+    for t in range(6, 15):
+        for s in range(5, 15):
+            _, paths = direct_kts_routes(t, s)
+            edges = []
+            for ca, cb, (a, x, y, b), _ in paths:
+                assert (a, b) == (ca, cb)
+                edges += ((a, x), (x, y), (y, b))
+            assert all(r != r2 and j != j2 and (r % 2 == 0 or r2 % 2 == 0)
+                       for (r, j), (r2, j2) in edges), (t, s)
+            assert len({(a, b) if a < b else (b, a) for a, b in edges}) \
+                == len(edges), (t, s)
 
 
 # --- Cartesian constructions ----------------------------------------------

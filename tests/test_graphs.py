@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from toi.graphs import (
     Graph,
     GraphFormatError,
-    PairIndex,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -53,13 +52,6 @@ def test_graph_validation():
         Graph(3, frozenset({(2, 1)}))
     with pytest.raises(ValueError):
         Graph(2, frozenset({(0, 5)}))
-
-
-def test_pair_index_round_trip():
-    idx = PairIndex(7)
-    for g in range(5):
-        for h in range(7):
-            assert idx.decode(idx.encode(g, h)) == (g, h)
 
 
 def test_adjacency_sorted():
