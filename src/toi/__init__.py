@@ -17,7 +17,6 @@ from .certificates import (
     verify,
 )
 from .constructions import (
-    EdgeClass,
     FactorImmersion,
     build_m_pair,
     cartesian_32,
@@ -25,8 +24,6 @@ from .constructions import (
     cartesian_large,
     direct_kts,
     direct_lift,
-    edge_class,
-    is_translation,
     toi_lower_bound_product,
 )
 from .graphs import (
@@ -57,7 +54,6 @@ __all__ = [
     "Certificate",
     "CertificateSchemaError",
     "ConjectureReport",
-    "EdgeClass",
     "FactorImmersion",
     "Graph",
     "GraphFormatError",
@@ -79,12 +75,10 @@ __all__ = [
     "direct_kts",
     "direct_lift",
     "direct_product",
-    "edge_class",
     "exact_toi",
     "find_p3_center",
     "identity_certificate",
     "is_bipartite",
-    "is_translation",
     "lexicographic_product",
     "parse_certificate",
     "path_graph",

@@ -165,25 +165,20 @@ def _build_certificate(args):
             host = direct_product(complete_graph(2 * args.t),
                                   complete_graph(args.s))
             return host, cert, "totally-odd-strong"
-        if kind == "direct-lift":
-            fg = _factor(args.g, args.g_cert)
-            fh = _factor(args.h, args.h_cert)
-            base = _read_cert(args.base)
-            host = direct_product(fg.host, fh.host)
-            # strongness and route simplicity of the lift are reported, not
-            # required; the guaranteed level is totally odd
-            return host, direct_lift(fg, fh, base), "totally-odd"
-        if kind in _CARTESIAN_BUILDERS:
-            fg = _factor(args.g, args.g_cert)
-            fh = _factor(args.h, args.h_cert)
-            host = cartesian_product(fg.host, fh.host)
-            return host, _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong"
         if kind == "cart-32":
             g = _read_graph(args.g)
             h = _read_graph(args.h)
-            host = cartesian_product(g, h)
-            return host, cartesian_32(g, h), "totally-odd-strong"
-        raise AssertionError(kind)
+            return cartesian_product(g, h), cartesian_32(g, h), "totally-odd-strong"
+        fg = _factor(args.g, args.g_cert)
+        fh = _factor(args.h, args.h_cert)
+        if kind == "direct-lift":
+            base = _read_cert(args.base)
+            # strongness and route simplicity of the lift are reported, not
+            # required; the guaranteed level is totally odd
+            return (direct_product(fg.host, fh.host), direct_lift(fg, fh, base),
+                    "totally-odd")
+        return (cartesian_product(fg.host, fh.host),
+                _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong")
     except ValueError as exc:
         raise _UsageError(str(exc))
 

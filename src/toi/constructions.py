@@ -14,19 +14,11 @@ off-by-one drift.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
-from .certificates import Certificate, Route, concatenate_routes, verify
+from .certificates import (Certificate, Route, concatenate_routes,
+                           identity_certificate, verify)
 from .graphs import (Graph, complete_graph, direct_product, find_p3_center,
                      is_bipartite)
-
-
-class EdgeClass(NamedTuple):
-    """Translation class of a non-terminal edge of K_{2t} x K_s."""
-
-    parity: int   # first index of the lower-column endpoint, mod 2
-    di: int       # first-index difference, lower-column endpoint minus the other
-    dj: int       # column difference, always positive
 
 
 @dataclass(frozen=True)
@@ -44,7 +36,6 @@ class FactorImmersion:
 
     @classmethod
     def identity(cls, host: Graph) -> "FactorImmersion":
-        from .certificates import identity_certificate
         return cls(host, identity_certificate(host))
 
     @property
@@ -58,11 +49,9 @@ class FactorImmersion:
         """Route vertices oriented from terminal index ``a`` to ``b``."""
         if a == b:
             raise ValueError("no route from a terminal to itself")
-        lo, hi = min(a, b), max(a, b)
-        verts = self.cert.connections[(lo, hi)].vertices
-        if verts[0] != self.cert.terminals[lo]:
-            verts = tuple(reversed(verts))
-        return verts if a == lo else tuple(reversed(verts))
+        # verified: every route joins its pair's two distinct terminals
+        verts = self.cert.connections[(min(a, b), max(a, b))].vertices
+        return verts if verts[0] == self.cert.terminals[a] else verts[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -76,9 +65,14 @@ def build_m_pair(p, q, n_h) -> tuple:
     ``q`` an odd route ``v - b_1 - ... - b_l - v'`` in the second.  Returns
     routes joining ``(u,v)`` to ``(u',v')`` and ``(u,v')`` to ``(u',v)`` in
     the direct product, with product vertices encoded row-major by ``n_h``.
+
+    Both routes run diagonally until the shorter factor route has no
+    interior vertex left, then alternate its coordinate while the longer one
+    finishes.  Substituting shows the two cases hold the degenerate ones:
+    ``k <= l`` gives the pure diagonal for ``k == l`` (two single product
+    edges for ``k == l == 0``) and ``k == 0``, and ``k > l`` gives ``l == 0``.
     """
-    p = tuple(p)
-    q = tuple(q)
+    p, q = tuple(p), tuple(q)
     k = len(p) - 2
     l = len(q) - 2
     if (k + 1) % 2 == 0 or (l + 1) % 2 == 0:
@@ -90,43 +84,22 @@ def build_m_pair(p, q, n_h) -> tuple:
     u, up = p[0], p[-1]
     v, vp = q[0], q[-1]
 
-    if k == l:
-        # pure diagonal (covers k = l = 0: two single product edges)
-        m1 = [enc(p[m], q[m]) for m in range(k + 2)]
-        m2 = [enc(p[m], q[k + 1 - m]) for m in range(k + 2)]
-    elif k == 0:
-        # first coordinate alternates between u' and u along q
-        m1 = [enc(u, v)]
-        m1 += [enc(up if m % 2 == 1 else u, q[m]) for m in range(1, l + 1)]
-        m1.append(enc(up, vp))
-        m2 = [enc(u, vp)]
-        m2 += [enc(up if m % 2 == 0 else u, q[m]) for m in range(l, 0, -1)]
-        m2.append(enc(up, v))
-    elif l == 0:
-        # second coordinate alternates between v' and v along p
-        m1 = [enc(u, v)]
-        m1 += [enc(p[m], vp if m % 2 == 1 else v) for m in range(1, k + 1)]
-        m1.append(enc(up, vp))
-        m2 = [enc(u, vp)]
-        m2 += [enc(p[m], v if m % 2 == 1 else vp) for m in range(1, k + 1)]
-        m2.append(enc(up, v))
-    elif k < l:
+    if k <= l:
         # diagonal for k steps, then alternate a_k / u' while q finishes
         m1 = [enc(p[m], q[m]) for m in range(k + 1)]
         m1 += [enc(up if (m - k) % 2 == 1 else p[k], q[m]) for m in range(k + 1, l + 1)]
-        m1.append(enc(up, vp))
         m2 = [enc(u, vp)]
         m2 += [enc(p[m], q[l + 1 - m]) for m in range(1, k + 1)]
         m2 += [enc(up if m % 2 == 0 else p[k], q[m]) for m in range(l - k, 0, -1)]
-        m2.append(enc(up, v))
-    else:  # l < k
+    else:
+        # diagonal for l steps, then alternate the second coordinate while p finishes
         m1 = [enc(p[m], q[m]) for m in range(l + 1)]
         m1 += [enc(p[m], vp if (m - l) % 2 == 1 else q[l]) for m in range(l + 1, k + 1)]
-        m1.append(enc(up, vp))
         m2 = [enc(u, vp)]
         m2 += [enc(p[m], q[l + 1 - m]) for m in range(1, l + 1)]
         m2 += [enc(p[m], v if (m - l) % 2 == 1 else q[1]) for m in range(l + 1, k + 1)]
-        m2.append(enc(up, v))
+    m1.append(enc(up, vp))
+    m2.append(enc(up, v))
     return Route(tuple(m1)), Route(tuple(m2))
 
 
@@ -134,15 +107,10 @@ def _m_route(fg: FactorImmersion, fh: FactorImmersion, a, b) -> Route:
     """Connector route from grid cell ``a = (i, j)`` to ``b = (i', j')``,
     terminal indices 0-based, differing in both coordinates."""
     (i, j), (i2, j2) = a, b
-    ilo, ihi = min(i, i2), max(i, i2)
-    jlo, jhi = min(j, j2), max(j, j2)
-    p = fg.route(ilo, ihi)
-    q = fh.route(jlo, jhi)
-    m1, m2 = build_m_pair(p, q, fh.host.n)
-    if (i < i2) == (j < j2):
-        route = m1  # runs (ilo, jlo) -> (ihi, jhi)
-        return route if i < i2 else route.reversed()
-    route = m2      # runs (ilo, jhi) -> (ihi, jlo)
+    m1, m2 = build_m_pair(fg.route(min(i, i2), max(i, i2)),
+                          fh.route(min(j, j2), max(j, j2)), fh.host.n)
+    # m1 runs (ilo, jlo) -> (ihi, jhi), m2 runs (ilo, jhi) -> (ihi, jlo)
+    route = m1 if (i < i2) == (j < j2) else m2
     return route if i < i2 else route.reversed()
 
 
@@ -164,22 +132,14 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
         raise ValueError(
             f"base certificate is not a totally odd immersion: {report.first_violation}")
 
-    def decode(v):
-        return divmod(v, s)
-
     n_h = fh.host.n
-
-    def phi(cell):
-        i, j = cell
-        return fg.terminal(i) * n_h + fh.terminal(j)
-
-    terminals = tuple(phi(decode(v)) for v in base.terminals)
+    terminals = tuple(fg.terminal(v // s) * n_h + fh.terminal(v % s)
+                      for v in base.terminals)
     connections = {}
     for (a, b), route in base.connections.items():
-        cells = [decode(v) for v in route.vertices]
-        pieces = [_m_route(fg, fh, cells[m], cells[m + 1])
-                  for m in range(len(cells) - 1)]
-        lifted = concatenate_routes(pieces)
+        cells = [divmod(v, s) for v in route.vertices]
+        lifted = concatenate_routes(_m_route(fg, fh, c, c2)
+                                    for c, c2 in zip(cells, cells[1:]))
         if base.terminals[a] != route.vertices[0]:
             lifted = lifted.reversed()
         connections[(a, b)] = lifted
@@ -189,42 +149,6 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
 # ---------------------------------------------------------------------------
 # The K_{ts} certificate in K_{2t} x K_s
 # ---------------------------------------------------------------------------
-
-def edge_class(t: int, s: int, u: int, v: int) -> EdgeClass:
-    """Translation class of an edge of K_{2t} x K_s (vertex ids, row-major by s).
-
-    Defined only on edges not joining two terminals (odd 1-based rows);
-    orientation fixed by the smaller column.
-    """
-    i, j = divmod(u, s)
-    i2, j2 = divmod(v, s)
-    i, j, i2, j2 = i + 1, j + 1, i2 + 1, j2 + 1  # 1-based grid coordinates
-    if not (1 <= i <= 2 * t and 1 <= i2 <= 2 * t and u != v):
-        raise ValueError("not a vertex pair of the product grid")
-    if i == i2 or j == j2:
-        raise ValueError(f"({u}, {v}) is not a direct-product edge")
-    if i % 2 == 1 and i2 % 2 == 1:
-        raise ValueError(f"({u}, {v}) joins two terminals; no class defined")
-    if j > j2:
-        i, j, i2, j2 = i2, j2, i, j
-    return EdgeClass(i % 2, i - i2, j2 - j)
-
-
-def is_translation(t: int, s: int, e, e2) -> bool:
-    """Whether two grid edges differ by a (2a, b) shift of both endpoints."""
-
-    def norm(edge):
-        u, v = edge
-        i, j = divmod(u, s)
-        i2, j2 = divmod(v, s)
-        if (j, i) > (j2, i2):
-            i, j, i2, j2 = i2, j2, i, j
-        return i, j, i2, j2
-
-    i, j, i2, j2 = norm(e)
-    k, l, k2, l2 = norm(e2)
-    return (k - i) % 2 == 0 and k - i == k2 - i2 and l - j == l2 - j2
-
 
 def _kts_pattern_routes(t: int, s: int):
     """Yield ``(cell_a, cell_b, verts, tag)`` for every same-row/same-column
@@ -295,10 +219,10 @@ def direct_kts_routes(t: int, s: int):
     """
     if t < 6 or s < 5:
         raise ValueError("requires t >= 6 and s >= 5")
-    singles = [((2 * i - 1, j), (2 * i2 - 1, j2))
-               for i in range(1, t + 1) for j in range(1, s + 1)
-               for i2 in range(i + 1, t + 1) for j2 in range(1, s + 1)
-               if j2 != j]
+    # each terminal cell is one tuple, shared by all its singles
+    rows = [[(2 * i - 1, j) for j in range(1, s + 1)] for i in range(1, t + 1)]
+    singles = [(a, b) for i, row in enumerate(rows) for a in row
+               for row2 in rows[i + 1:] for b in row2 if b[1] != a[1]]
     return singles, list(_kts_pattern_routes(t, s))
 
 
@@ -355,12 +279,12 @@ def toi_lower_bound_product(op: str, t: int, s: int) -> int:
 # Cartesian product constructions
 # ---------------------------------------------------------------------------
 
-def _lift_into_h_fiber(q_verts, g_vertex, n_h):
-    return [g_vertex * n_h + x for x in q_verts]
+def _lift_into_h_fiber(q_verts, g_vertex, n_h) -> Route:
+    return Route(tuple(g_vertex * n_h + x for x in q_verts))
 
 
-def _lift_into_g_copy(p_verts, h_vertex, n_h):
-    return [x * n_h + h_vertex for x in p_verts]
+def _lift_into_g_copy(p_verts, h_vertex, n_h) -> Route:
+    return Route(tuple(x * n_h + h_vertex for x in p_verts))
 
 
 def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
@@ -385,29 +309,24 @@ def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
     terminals = tuple(u[0] * n_h + v[j] for j in range(s)) \
         + tuple(u[i] * n_h + v[0] for i in range(1, t))
 
-    def detour_target(j):
-        return j + 1 if j < s - 1 else 1
-
     connections = {}
     for j in range(s):
         for j2 in range(j + 1, s):
-            connections[(j, j2)] = Route(tuple(
-                _lift_into_h_fiber(fh.route(j, j2), u[0], n_h)))
+            connections[(j, j2)] = _lift_into_h_fiber(fh.route(j, j2), u[0], n_h)
     for i in range(1, t):
         for i2 in range(i + 1, t):
-            connections[(s + i - 1, s + i2 - 1)] = Route(tuple(
-                _lift_into_g_copy(fg.route(i, i2), v[0], n_h)))
+            connections[(s + i - 1, s + i2 - 1)] = _lift_into_g_copy(
+                fg.route(i, i2), v[0], n_h)
     for i in range(1, t):
         b = s + i - 1
         # (u_1, v_1) - (u_i, v_1): first-factor route in the v_1 copy
-        connections[(0, b)] = Route(tuple(
-            _lift_into_g_copy(fg.route(0, i), v[0], n_h)))
+        connections[(0, b)] = _lift_into_g_copy(fg.route(0, i), v[0], n_h)
         for j in range(1, s):
-            w = detour_target(j)
-            segs = [Route(tuple(_lift_into_g_copy(fg.route(0, i), v[j], n_h))),
-                    Route(tuple(_lift_into_h_fiber(fh.route(j, w), u[i], n_h))),
-                    Route(tuple(_lift_into_h_fiber(fh.route(w, 0), u[i], n_h)))]
-            connections[(j, b)] = concatenate_routes(segs)
+            w = j + 1 if j < s - 1 else 1  # the detour's second-factor target
+            connections[(j, b)] = concatenate_routes([
+                _lift_into_g_copy(fg.route(0, i), v[j], n_h),
+                _lift_into_h_fiber(fh.route(j, w), u[i], n_h),
+                _lift_into_h_fiber(fh.route(w, 0), u[i], n_h)])
     return Certificate(t + s - 1, terminals, connections)
 
 
@@ -423,16 +342,14 @@ def cartesian_33(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
                  u[2] * n_h + v[0], u[0] * n_h + v[1])
     connections = {}
     for a, b in ((0, 1), (0, 2), (1, 2)):
-        connections[(a, b)] = Route(tuple(
-            _lift_into_g_copy(fg.route(a, b), v[0], n_h)))
-    connections[(0, 3)] = Route(tuple(
-        _lift_into_h_fiber(fh.route(0, 1), u[0], n_h)))
+        connections[(a, b)] = _lift_into_g_copy(fg.route(a, b), v[0], n_h)
+    connections[(0, 3)] = _lift_into_h_fiber(fh.route(0, 1), u[0], n_h)
     for a in (1, 2):
         # (u_1, v_2) -> row to (u_a, v_2) -> fiber detour v_2 -> v_3 -> v_1
-        segs = [Route(tuple(_lift_into_g_copy(fg.route(0, a), v[1], n_h))),
-                Route(tuple(_lift_into_h_fiber(fh.route(1, 2), u[a], n_h))),
-                Route(tuple(_lift_into_h_fiber(fh.route(2, 0), u[a], n_h)))]
-        connections[(a, 3)] = concatenate_routes(segs).reversed()
+        connections[(a, 3)] = concatenate_routes([
+            _lift_into_g_copy(fg.route(0, a), v[1], n_h),
+            _lift_into_h_fiber(fh.route(1, 2), u[a], n_h),
+            _lift_into_h_fiber(fh.route(2, 0), u[a], n_h)]).reversed()
     return Certificate(4, terminals, connections)
 
 

@@ -42,14 +42,14 @@ class Graph:
         if self.labels is not None:
             if len(self.labels) != self.n:
                 raise ValueError("labels must cover every vertex")
-            n_h = max(h for _, h in self.labels) + 1 if self.n else 0
-            seen = set()
+            # row-major over whole rows of n_h: labels[v] == divmod(v, n_h)
+            n_h = max((h for _, h in self.labels), default=-1) + 1
             for v, (g, h) in enumerate(self.labels):
-                if g * n_h + h != v:
+                if n_h < 1 or (g, h) != divmod(v, n_h):
                     raise ValueError(f"label {(g, h)} of vertex {v} breaks row-major encoding")
-                seen.add((g, h))
-            if len(seen) != self.n:
-                raise ValueError("labels are not a bijection")
+            if n_h and self.n % n_h:
+                raise ValueError(f"labels are not a product grid: {self.n} "
+                                 f"vertices in rows of {n_h}")
 
     @classmethod
     def _trusted(cls, n: int, edges: frozenset, labels=None, name: str = ""):

@@ -1,5 +1,8 @@
-"""Shared test helpers: one summary line per acceptance criterion, and the
-declared edge classes of the K_{ts} route table."""
+"""Shared test helpers: one summary line per acceptance criterion, the
+translation classes of edges of K_{2t} x K_s, and the declared edge classes
+of the K_{ts} route table."""
+
+from typing import NamedTuple
 
 ACCEPTANCE_LINES = []
 
@@ -9,6 +12,50 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+class EdgeClass(NamedTuple):
+    """Translation class of a non-terminal edge of K_{2t} x K_s."""
+
+    parity: int   # first index of the lower-column endpoint, mod 2
+    di: int       # first-index difference, lower-column endpoint minus the other
+    dj: int       # column difference, always positive
+
+
+def edge_class(t: int, s: int, u: int, v: int) -> EdgeClass:
+    """Translation class of an edge of K_{2t} x K_s (vertex ids, row-major by s).
+
+    Defined only on edges not joining two terminals (odd 1-based rows);
+    orientation fixed by the smaller column.
+    """
+    i, j = divmod(u, s)
+    i2, j2 = divmod(v, s)
+    i, j, i2, j2 = i + 1, j + 1, i2 + 1, j2 + 1  # 1-based grid coordinates
+    if not (1 <= i <= 2 * t and 1 <= i2 <= 2 * t and u != v):
+        raise ValueError("not a vertex pair of the product grid")
+    if i == i2 or j == j2:
+        raise ValueError(f"({u}, {v}) is not a direct-product edge")
+    if i % 2 == 1 and i2 % 2 == 1:
+        raise ValueError(f"({u}, {v}) joins two terminals; no class defined")
+    if j > j2:
+        i, j, i2, j2 = i2, j2, i, j
+    return EdgeClass(i % 2, i - i2, j2 - j)
+
+
+def is_translation(t: int, s: int, e, e2) -> bool:
+    """Whether two grid edges differ by a (2a, b) shift of both endpoints."""
+
+    def norm(edge):
+        u, v = edge
+        i, j = divmod(u, s)
+        i2, j2 = divmod(v, s)
+        if (j, i) > (j2, i2):
+            i, j, i2, j2 = i2, j2, i, j
+        return i, j, i2, j2
+
+    i, j, i2, j2 = norm(e)
+    k, l, k2, l2 = norm(e2)
+    return (k - i) % 2 == 0 and k - i == k2 - i2 and l - j == l2 - j2
 
 
 def kts_declared_classes(t, s, cells):

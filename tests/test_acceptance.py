@@ -9,7 +9,8 @@ import random
 import time
 from contextlib import contextmanager
 
-from conftest import ACCEPTANCE_LINES, kts_declared_classes
+from conftest import (ACCEPTANCE_LINES, edge_class, is_translation,
+                      kts_declared_classes)
 
 from toi.certificates import Certificate, Route, verify
 from toi.constructions import (
@@ -19,8 +20,6 @@ from toi.constructions import (
     direct_kts,
     direct_kts_routes,
     direct_lift,
-    edge_class,
-    is_translation,
 )
 from toi.graphs import (
     Graph,

@@ -1,13 +1,14 @@
 """Constructive certificates: connector pairs, edge classes, all builders."""
 
+import hashlib
 import itertools
 
 import pytest
-from conftest import kts_declared_classes
+from conftest import edge_class, is_translation, kts_declared_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import verify
+from toi.certificates import serialize_certificate, verify
 from toi.constructions import (
     FactorImmersion,
     build_m_pair,
@@ -17,8 +18,6 @@ from toi.constructions import (
     direct_kts,
     direct_kts_routes,
     direct_lift,
-    edge_class,
-    is_translation,
     toi_lower_bound_product,
 )
 from toi.graphs import (
@@ -104,6 +103,25 @@ def test_m_pair_rejects_odd_factor_paths():
         build_m_pair((0, 1, 2), (3, 4), 10)
 
 
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_m_pair_bytes_are_pinned():
+    # every (k, l) case, including k = l, k = 0 and l = 0, on three path
+    # pairs each
+    lines = []
+    for k in range(0, 10, 2):
+        for l in range(0, 10, 2):
+            for seed in range(3):
+                p = _even_path(seed * 7919 + k, k + 1, 30)
+                q = _even_path(seed * 104729 + l, l + 1, 40)
+                m1, m2 = build_m_pair(p, q, 40)
+                lines.append(f"{m1.vertices} {m2.vertices}")
+    assert _sha256("\n".join(lines)) == (
+        "31b03177f79b7319237e056620645db0fa80229fa75c1915138730c1da9599b0")
+
+
 # --- lifting a base certificate into a product of factor immersions ------
 
 def _c5_factor():
@@ -141,6 +159,20 @@ def test_direct_lift_requires_size_three_factors():
                                     complete_graph(3))).witness
     with pytest.raises(ValueError):
         direct_lift(fg, fh, base)
+
+
+def test_direct_lift_bytes_are_pinned():
+    k3 = FactorImmersion.identity(complete_graph(3))
+    k4 = FactorImmersion.identity(complete_graph(4))
+    c5 = _c5_factor()
+    base34 = exact_toi(direct_product(complete_graph(3),
+                                      complete_graph(4))).witness
+    base33 = exact_toi(direct_product(complete_graph(3),
+                                      complete_graph(3))).witness
+    assert _sha256(serialize_certificate(direct_lift(k3, k4, base34))) == (
+        "091e591621af78c4fc75d8116de8de538906878c811e8451046a4dce4dd518e1")
+    assert _sha256(serialize_certificate(direct_lift(c5, c5, base33))) == (
+        "4a7602b14fd99da1f6bcfc62927adbf5526b5990463125deab9489c87335c108")
 
 
 def test_direct_lift_rejects_wrong_base():
@@ -345,6 +377,24 @@ def test_cartesian_32_figure_route():
     verts = cert.connections[(2, 3)].vertices
     decoded = [divmod(v, 3) for v in verts]
     assert decoded == [(0, 1), (0, 2), (1, 2), (2, 2), (2, 1), (2, 0)]
+
+
+def test_cartesian_bytes_are_pinned():
+    k3, k4, k5 = (FactorImmersion.identity(complete_graph(n)) for n in (3, 4, 5))
+    c5 = _c5_factor()
+    for cert, digest in [
+        (cartesian_large(k4, k5),
+         "43c86da70d984881d2ecc43fb180d65c452a2b8cf66adca3edd583d58ad68c90"),
+        (cartesian_large(c5, k4),
+         "9545605c801d6b203272c80a1f0eb7251aa025075adabe1d897db9d63d67ba3a"),
+        (cartesian_33(c5, k3),
+         "34c0b6c5cf82a755e15cb26395565c7e016fbb05617514c5ab2e174e7f445367"),
+        (cartesian_32(cycle_graph(5), path_graph(3)),
+         "e88061373a42ebb94c963cbb6a11195e2cea27a87c54117d5ecf8c4ba9b2ae73"),
+        (cartesian_32(cycle_graph(9), cycle_graph(4)),
+         "01ed00b60fc98a511e99e495528e3676fa3bae58345506780ae2353bb6be952d"),
+    ]:
+        assert _sha256(serialize_certificate(cert)) == digest
 
 
 def test_cartesian_32_rejects_bipartite_first_factor():

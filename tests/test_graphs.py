@@ -213,6 +213,15 @@ def test_text_format_ignores_comments():
     ("p toi 2 1\ne 0 1\nl 0 0 0\nl 1 0 2\n",
      "label (0, 2) of vertex 1 breaks row-major encoding"),
     ("p toi -1 0\n", "vertex count must be nonnegative"),
+    # labels that solve g * n_h + h == v but are not a product grid
+    ("p toi 1 0\nl 0 -2 -2\n",
+     "label (-2, -2) of vertex 0 breaks row-major encoding"),
+    ("p toi 2 0\nl 0 1 -1\nl 1 1 0\n",
+     "label (1, -1) of vertex 0 breaks row-major encoding"),
+    ("p toi 2 0\nl 0 0 -1\nl 1 0 -1\n",
+     "label (0, -1) of vertex 0 breaks row-major encoding"),
+    ("p toi 5 0\nl 0 0 0\nl 1 0 1\nl 2 1 0\nl 3 1 1\nl 4 2 0\n",
+     "labels are not a product grid: 5 vertices in rows of 2"),
     ("p toi 2 1\ne 0 1\nl 0 0 0\nl 0 0 0\nl 1 0 1\n",
      "line 4: duplicate label line for vertex 0"),
 ])
