@@ -1,9 +1,9 @@
 """Command-line interface: products, constructions, verification, solving.
 
 Exit codes: 0 success, 1 well-formed negative answer (failed verification,
-timeout, indeterminate conjecture), 2 usage or format error.  Every command
-is deterministic; ``--json`` replaces the human report with a single JSON
-object on standard output.
+timeout, violated or indeterminate conjecture), 2 usage or format error.
+Every command is deterministic; ``--json`` replaces the human report with a
+single JSON object on standard output.
 
 Every command runs with the cyclic garbage collector paused: what the
 commands build, from product hosts to the solver's search state, holds no
@@ -223,15 +223,21 @@ def _budget(args) -> SearchBudget:
         raise _UsageError(str(exc))
 
 
+def _write_witness(result, path: Optional[str]) -> Optional[str]:
+    """Write a solver result's witness certificate to ``path`` when both are
+    given; returns the path written, else None."""
+    if result.witness is None or not path:
+        return None
+    _write(path, serialize_certificate(result.witness))
+    return path
+
+
 def _cmd_solve(args) -> int:
     if args.max_t is not None and args.max_t < 1:
         raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read_graph(args.graph)
     result = exact_toi(g, _budget(args), max_t=args.max_t)
-    witness_path = None
-    if result.witness is not None and args.witness:
-        _write(args.witness, serialize_certificate(result.witness))
-        witness_path = args.witness
+    witness_path = _write_witness(result, args.witness)
     report = {"command": "solve", "value": result.value,
               "status": result.status, "nodes_explored": result.nodes_explored,
               "witness": witness_path}
@@ -248,13 +254,19 @@ def _cmd_check_conjecture(args) -> int:
     outcome = check_conjecture(g, _budget(args))
     satisfied = outcome.satisfied
     verdict = {True: "satisfied", False: "VIOLATED", None: "indeterminate"}[satisfied]
+    chi, toi = outcome.chi, outcome.toi
+    witness_path = _write_witness(toi, args.witness)
     report = {"command": "check-conjecture",
-              "chi": {"value": outcome.chi.value, "status": outcome.chi.status},
-              "toi": {"value": outcome.toi.value, "status": outcome.toi.status},
+              "chi": {"value": chi.value, "status": chi.status,
+                      "colouring": outcome.colouring},
+              "toi": {"value": toi.value, "status": toi.status,
+                      "witness": witness_path},
               "satisfied": satisfied}
-    lines = [f"chi = {outcome.chi.value} ({outcome.chi.status})",
-             f"toi = {outcome.toi.value} ({outcome.toi.status})",
+    lines = [f"chi = {chi.value} ({chi.status})",
+             f"toi = {toi.value} ({toi.status})",
              f"conjecture chi <= toi: {verdict}"]
+    if witness_path:
+        lines.append(f"wrote witness {witness_path}")
     _emit(report, lines, args.json)
     return 0 if satisfied else 1
 
@@ -332,10 +344,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_solve)
 
     p = sub.add_parser("check-conjecture",
-                       help="check chi(G) <= toi(G) with both solvers exact")
+                       help="check chi(G) <= toi(G) from a colouring and a "
+                            "K_k witness")
     p.add_argument("graph")
     p.add_argument("--time-limit", type=float, help="seconds")
     p.add_argument("--nodes", type=int, help="search node budget")
+    p.add_argument("--witness", help="write the toi witness certificate here")
     p.set_defaults(func=_cmd_check_conjecture)
 
     return parser

@@ -9,6 +9,11 @@ This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
 
+The conjecture check chi(G) <= toi(G) (:func:`check_conjecture`) rests on
+witnesses: a proper DSATUR colouring with k colours and a verified K_k
+certificate settle it as True.  The exact chromatic number is searched only
+when level k is refuted, and False needs chi and toi both exact.
+
 Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
 None.  Terminal sets skipped by the edge-budget bound (proved in
 :func:`exact_toi`) have no route system at all, and branches cut by the
@@ -55,7 +60,9 @@ class SearchBudget:
 class SolveResult:
     value: int
     witness: Optional[Certificate]
-    status: str  # "exact" | "lower-bound-only" | "timeout"
+    # "exact" | "lower-bound-only" | "upper-bound-only" | "timeout"; chi is
+    # "upper-bound-only" only in check_conjecture, where a colouring bounds it
+    status: str
     nodes_explored: int
 
 
@@ -410,24 +417,54 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveRe
 class ConjectureReport:
     chi: SolveResult
     toi: SolveResult
-    satisfied: Optional[bool]  # None when either side is not exact
+    # True when an upper bound on chi is at most a witnessed lower bound on
+    # toi, False only when chi and toi are both exact and chi > toi, None
+    # otherwise
+    satisfied: Optional[bool]
+    colouring: list[int]  # the DSATUR colouring: proper, colours 0..k-1
 
 
 def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> ConjectureReport:
-    """Check chi(G) <= toi(G); asserted only when both solvers are exact.
-    The time limit and the node budget cover both solvers: exact_toi gets
-    what chi left of each, and times out at once if chi left nothing."""
+    """Check chi(G) <= toi(G) from two witnesses where it can.
+
+    The DSATUR colouring (:func:`_dsatur`) is checked proper and gives k
+    colours, so chi <= k; then ``exact_toi(g, budget, max_t=k)`` asks for a
+    K_k.  A verified K_k witness settles the conjecture for G, and chi is
+    reported as k with status "upper-bound-only".  Only when level k is
+    refuted does :func:`chromatic_number` run, on the nodes and time that
+    exact_toi left; exact_toi has then descended to toi itself, exact when
+    every refutation was complete.  The verdict is True when an upper bound
+    on chi is at most the witnessed lower bound on toi, False only when
+    both sides are exact and chi > toi, and None otherwise, at once on a
+    toi timeout.
+
+    Levels are monotone (dropping a terminal keeps a strong immersion), so
+    when toi <= k the toi search is a suffix of the full descending one and
+    the check spends no more nodes than exact chi plus full toi.  When
+    toi > k the full search stops at a level above k and never searches
+    level k itself, which can cost more."""
     budget = budget or SearchBudget()
     start = time.monotonic()
-    chi = chromatic_number(g, budget)
-    nodes = budget.max_nodes - chi.nodes_explored
-    seconds = (None if budget.time_limit is None
-               else budget.time_limit - (time.monotonic() - start))
-    if nodes <= 0 or (seconds is not None and seconds <= 0):
-        toi = SolveResult(1, Certificate(1, (0,)), "timeout", 0)
-    else:
-        toi = exact_toi(g, replace(budget, max_nodes=nodes, time_limit=seconds))
+    colouring, k = _dsatur(g)
+    if (any(colouring[u] == colouring[v] for u, v in g.edges)
+            or not all(0 <= c < k for c in colouring)):
+        raise RuntimeError("DSATUR colouring is not a proper "
+                           f"{k}-colouring")
+    toi = exact_toi(g, budget, max_t=k)
+    chi = SolveResult(k, None, "upper-bound-only", 0)
+    if toi.status != "timeout" and toi.value < k:
+        nodes = budget.max_nodes - toi.nodes_explored
+        seconds = (None if budget.time_limit is None
+                   else budget.time_limit - (time.monotonic() - start))
+        if nodes <= 0 or (seconds is not None and seconds <= 0):
+            chi = SolveResult(k, None, "timeout", 0)
+        else:
+            chi = chromatic_number(
+                g, replace(budget, max_nodes=nodes, time_limit=seconds))
     satisfied = None
-    if chi.status == "exact" and toi.status == "exact":
-        satisfied = chi.value <= toi.value
-    return ConjectureReport(chi, toi, satisfied)
+    if toi.status != "timeout" and chi.status != "timeout":
+        if chi.value <= toi.value:
+            satisfied = True
+        elif chi.status == toi.status == "exact":
+            satisfied = False
+    return ConjectureReport(chi, toi, satisfied, colouring)

@@ -299,6 +299,26 @@ def test_check_conjecture_c5(capsys, files):
     assert rep["satisfied"] is True
 
 
+def test_check_conjecture_writes_both_witnesses(capsys, files):
+    # the DSATUR colouring in the report and the K_k certificate in a file
+    wit = str(files["dir"] / "w.cert")
+    code, stdout, _ = run(capsys, "--json", "check-conjecture", files["c5"],
+                          "--witness", wit)
+    assert code == 0
+    rep = json.loads(stdout)
+    assert rep["chi"] == {"value": 3, "status": "upper-bound-only",
+                          "colouring": [0, 1, 0, 1, 2]}
+    assert rep["toi"] == {"value": 3, "status": "exact", "witness": wit}
+    host = cycle_graph(5)
+    colouring = rep["chi"]["colouring"]
+    assert all(colouring[u] != colouring[v] for u, v in host.edges)
+    cert = parse_certificate(open(wit).read())
+    assert cert.clique_size == 3 and verify(host, cert).all_ok
+    code, stdout, _ = run(capsys, "check-conjecture", files["c5"],
+                          "--witness", wit)
+    assert stdout.splitlines()[-1] == f"wrote witness {wit}"
+
+
 def test_check_conjecture_timeout_is_indeterminate(capsys, files):
     code, stdout, _ = run(capsys, "--json", "check-conjecture", files["k4"],
                           "--nodes", "2")

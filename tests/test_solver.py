@@ -25,6 +25,7 @@ from toi.graphs import (
 )
 from toi.solver import (
     SearchBudget,
+    SolveResult,
     _k_colorable,
     _Ticker,
     _ToiSearch,
@@ -474,45 +475,167 @@ def test_check_conjecture_k6():
 
 
 def test_check_conjecture_shares_one_time_limit(monkeypatch):
-    # exact_toi gets only the time chromatic_number left, and none at all
-    # once chromatic_number has spent the whole limit
+    # DSATUR colours DSATUR_SUBOPTIMAL[0] with 4 and its toi is 3, so level 4
+    # is refuted and chromatic_number runs, with only the time exact_toi
+    # left, and not at all once exact_toi has spent the whole limit
     clock = [100.0]
     monkeypatch.setattr(toi.solver, "time",
                         types.SimpleNamespace(monotonic=lambda: clock[0]))
     spent, limits = [0.0], []
 
-    def timed_chi(g, budget):
+    def timed_toi(g, budget, max_t):
         clock[0] += spent[0]
+        return exact_toi(g, budget, max_t=max_t)
+
+    def timed_chi(g, budget):
+        limits.append(budget.time_limit)
         return chromatic_number(g, budget)
 
-    def timed_toi(g, budget):
-        limits.append(budget.time_limit)
-        return exact_toi(g, budget)
-
-    monkeypatch.setattr(toi.solver, "chromatic_number", timed_chi)
     monkeypatch.setattr(toi.solver, "exact_toi", timed_toi)
+    monkeypatch.setattr(toi.solver, "chromatic_number", timed_chi)
+    g = DSATUR_SUBOPTIMAL[0]
     spent[0] = 4.0
-    rep = check_conjecture(cycle_graph(5), SearchBudget(time_limit=10.0))
+    rep = check_conjecture(g, SearchBudget(time_limit=10.0))
     assert limits == [6.0] and rep.satisfied is True
+    assert (rep.chi.value, rep.chi.status) == (3, "exact")
     spent[0] = 10.0
-    rep = check_conjecture(cycle_graph(5), SearchBudget(time_limit=10.0))
+    rep = check_conjecture(g, SearchBudget(time_limit=10.0))
     assert limits == [6.0]
-    assert (rep.toi.status, rep.toi.value, rep.toi.nodes_explored) == (
-        "timeout", 1, 0)
-    assert rep.chi.status == "exact" and rep.satisfied is None
+    assert (rep.chi.status, rep.chi.value, rep.chi.nodes_explored) == (
+        "timeout", 4, 0)
+    assert (rep.toi.status, rep.toi.value) == ("exact", 3)
+    assert rep.satisfied is None
 
 
-@pytest.mark.parametrize("max_nodes, chi_nodes, toi_nodes", [
-    (20, 20, 0),     # chi spends it all: toi times out without a node
-    (32, 32, 0),
-    (360, 32, 328),  # toi needs 355 and gets only what chi left
-    (387, 32, 355),
+@pytest.mark.parametrize("max_nodes, toi_nodes, chi_nodes", [
+    (100, 100, 0),   # toi times out: None at once, chromatic_number never runs
+    (138, 138, 0),   # toi refutes level 4 with all of it: chi times out at 0
+    (145, 138, 7),   # chi needs 11 and gets only what toi left
+    (149, 138, 11),
 ])
-def test_check_conjecture_shares_one_node_budget(max_nodes, chi_nodes, toi_nodes):
-    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=max_nodes))
+def test_check_conjecture_shares_one_node_budget(max_nodes, toi_nodes, chi_nodes):
+    rep = check_conjecture(DSATUR_SUBOPTIMAL[0], SearchBudget(max_nodes=max_nodes))
     assert rep.chi.nodes_explored + rep.toi.nodes_explored <= max_nodes
-    assert (rep.chi.nodes_explored, rep.toi.nodes_explored) == (chi_nodes, toi_nodes)
-    assert rep.satisfied is (True if max_nodes == 387 else None)
+    assert (rep.toi.nodes_explored, rep.chi.nodes_explored) == (toi_nodes, chi_nodes)
+    assert rep.toi.status == ("timeout" if max_nodes == 100 else "exact")
+    assert rep.chi.status == {100: "upper-bound-only", 149: "exact"}.get(
+        max_nodes, "timeout")
+    assert rep.satisfied is (True if max_nodes == 149 else None)
+
+
+def test_check_conjecture_witness_path_runs_no_chromatic_search(monkeypatch):
+    # a K_k witness at the DSATUR level k settles the check on its own
+    def no_chi(g, budget):
+        raise AssertionError("chromatic_number ran")
+
+    monkeypatch.setattr(toi.solver, "chromatic_number", no_chi)
+    # mycielski(4): the old check spent 32 chi nodes and 355 toi nodes
+    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=349))
+    assert rep.satisfied is True
+    assert rep.chi == SolveResult(4, None, "upper-bound-only", 0)
+    assert (rep.toi.value, rep.toi.status, rep.toi.nodes_explored) == (
+        4, "lower-bound-only", 349)
+
+
+def test_check_conjecture_falls_back_to_chromatic_number(monkeypatch):
+    # a proper 4-colouring of C5: level 4 is refuted exactly, so the exact
+    # chromatic number and the toi exact_toi descended to decide the check
+    monkeypatch.setattr(toi.solver, "_dsatur",
+                        lambda g: ([0, 1, 2, 3, 1], 4))
+    rep = check_conjecture(cycle_graph(5))
+    assert (rep.chi.value, rep.chi.status) == (3, "exact")
+    assert (rep.toi.value, rep.toi.status) == (3, "exact")
+    assert rep.satisfied is True
+    assert rep.colouring == [0, 1, 2, 3, 1]
+
+
+@pytest.mark.parametrize("status, verdict", [("exact", False),
+                                             ("lower-bound-only", None)])
+def test_check_conjecture_violation_needs_both_sides_exact(
+        monkeypatch, status, verdict):
+    # a stand-in toi of 2 on C5, below chi = 3: a violation only if exact
+    k2 = exact_toi(path_graph(2)).witness
+    monkeypatch.setattr(toi.solver, "exact_toi",
+                        lambda g, budget, max_t: SolveResult(2, k2, status, 1))
+    rep = check_conjecture(cycle_graph(5))
+    assert (rep.chi.value, rep.chi.status) == (3, "exact")
+    assert rep.satisfied is verdict
+
+
+@pytest.mark.parametrize("colouring, k", [
+    ([0, 1, 0, 1, 1], 2),     # vertices 3 and 4 are adjacent
+    ([0, 1, 0, 1, 2], 2),     # colour 2 is not one of the k colours
+], ids=["improper", "out-of-range"])
+def test_check_conjecture_rejects_a_bad_colouring(monkeypatch, colouring, k):
+    monkeypatch.setattr(toi.solver, "_dsatur", lambda g: (colouring, k))
+    with pytest.raises(RuntimeError, match="colouring"):
+        check_conjecture(cycle_graph(5))
+
+
+def _old_check(g):
+    """The check before witnesses: exact chi, full descending exact_toi,
+    a verdict only when both are exact; returns (verdict, toi, nodes)."""
+    chi, res = chromatic_number(g), exact_toi(g)
+    verdict = None
+    if chi.status == "exact" and res.status == "exact":
+        verdict = chi.value <= res.value
+    return verdict, res.value, chi.nodes_explored + res.nodes_explored
+
+
+def _sweep_graphs(seed, count):
+    """The first ``count`` graphs of the conjecture-sweep benchmark's
+    generator: 6-8 vertices, edge probability 0.3, 0.5 or 0.7."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, p = rng.choice((6, 7, 8)), rng.choice((0.3, 0.5, 0.7))
+        yield Graph(n, frozenset((u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p))
+
+
+def test_check_conjecture_agrees_with_the_old_rule():
+    # Where toi <= k (the DSATUR colour count), the new toi search is a
+    # suffix of the old descending one, so it never spends more nodes.
+    # Where toi > k the old search stopped at a witness above k that the
+    # new one never looks for, and finding one at level k can cost more:
+    # two graphs here, by 3 and 1 nodes.  The total still falls.
+    old_total = new_total = dearer = 0
+    for g in itertools.chain(_all_graphs(5), _sweep_graphs(321, 300)):
+        verdict, old_toi, nodes = _old_check(g)
+        rep = check_conjecture(g)
+        assert verdict is not None and rep.satisfied is verdict, sorted(g.edges)
+        new = rep.chi.nodes_explored + rep.toi.nodes_explored
+        if old_toi <= len(set(rep.colouring)):
+            assert new <= nodes, sorted(g.edges)
+        dearer += new > nodes
+        old_total, new_total = old_total + nodes, new_total + new
+        if rep.satisfied:
+            assert len(set(rep.colouring)) == rep.chi.value
+            assert all(rep.colouring[u] != rep.colouring[v] for u, v in g.edges)
+            assert rep.toi.witness.clique_size >= rep.chi.value
+            assert verify(g, rep.toi.witness).all_ok
+    assert dearer == 2
+    assert new_total < old_total
+
+
+@pytest.mark.parametrize("host", [direct_product(complete_graph(3), complete_graph(5)),
+                                  direct_product(complete_graph(4), complete_graph(4)),
+                                  mycielski(5)],
+                         ids=["direct-K3-K5", "direct-K4-K4", "mycielski-5"])
+def test_check_conjecture_settles_the_frontier_hosts(host):
+    # each was indeterminate before: the full descending toi search timed
+    # out above chi; the K_k witness at the DSATUR level takes under 100 nodes
+    rep = check_conjecture(host, SearchBudget(max_nodes=1_000))
+    assert rep.satisfied is True
+    assert rep.toi.nodes_explored < 100
+    assert verify(host, rep.toi.witness).all_ok
+
+
+def test_check_conjecture_strong_c5_c5_stays_indeterminate():
+    # DSATUR uses 8 colours where chi is 5, and level 8 is out of reach
+    host = strong_product(cycle_graph(5), cycle_graph(5))
+    rep = check_conjecture(host, SearchBudget(max_nodes=1_000))
+    assert rep.chi == SolveResult(8, None, "upper-bound-only", 0)
+    assert rep.toi.status == "timeout" and rep.satisfied is None
 
 
 def test_check_conjecture_indeterminate_on_timeout():
