@@ -6,6 +6,21 @@ store trails (walks that repeat no edge but may revisit a vertex); the
 verifier reports simplicity as its own flag, ``routes_simple``.  The
 ``totally-odd-strong`` claim, and so ``toi`` as ``exact_toi`` computes it,
 requires simple routes.
+
+:func:`verify` reports eight flags.  Each requirement level (``toi verify
+--require``) needs the flags of its row and of the rows above it; a
+report's ``claim_level`` is that of the strongest level it meets, and
+``none`` when it meets no level:
+
+==================  =====================  ================================
+level               claim_level            flags it adds
+==================  =====================  ================================
+immersion           none                   terminals_distinct, complete,
+                                           endpoints_ok, edges_exist,
+                                           edge_disjoint
+totally-odd         totally-odd-immersion  all_odd
+totally-odd-strong  totally-odd-strong     routes_simple, strong
+==================  =====================  ================================
 """
 
 from __future__ import annotations
@@ -103,52 +118,46 @@ class Certificate:
                 raise ValueError(f"pair ({a}, {b}) is not a valid terminal-index pair")
 
 
-_FLAGS = ("terminals_distinct", "complete", "endpoints_ok", "edges_exist",
-          "all_odd", "edge_disjoint", "routes_simple", "strong")
-
-# requirement level -> (flags it needs, claim_level name when it is the
-# strongest level met); strongest first
-REQUIREMENT_LEVELS = {
-    "totally-odd-strong": (_FLAGS, "totally-odd-strong"),
-    "totally-odd": (("terminals_distinct", "complete", "endpoints_ok",
-                     "edges_exist", "all_odd", "edge_disjoint"),
-                    "totally-odd-immersion"),
-    "immersion": (("terminals_distinct", "complete", "endpoints_ok",
-                   "edges_exist", "edge_disjoint"), "none"),
+# flag -> the weakest requirement level that needs it, in report order
+_FLAG_LEVELS = {
+    "terminals_distinct": "immersion", "complete": "immersion",
+    "endpoints_ok": "immersion", "edges_exist": "immersion",
+    "all_odd": "totally-odd", "edge_disjoint": "immersion",
+    "routes_simple": "totally-odd-strong", "strong": "totally-odd-strong",
 }
+
+# requirement level -> claim_level name when it is the strongest level met;
+# weakest first, and each level needs its own flags and the weaker levels'
+REQUIREMENT_LEVELS = {"immersion": "none", "totally-odd": "totally-odd-immersion",
+                      "totally-odd-strong": "totally-odd-strong"}
 
 
 @dataclass
 class VerificationReport:
-    """Independent per-property flags plus first-failure diagnostics."""
+    """The first violation of each failed flag, in flag order; a flag holds
+    when it has no entry."""
 
-    terminals_distinct: bool
-    complete: bool
-    endpoints_ok: bool
-    edges_exist: bool
-    all_odd: bool
-    edge_disjoint: bool
-    routes_simple: bool
-    strong: bool
     first_violation: dict
 
     def flags(self) -> dict:
-        return {name: getattr(self, name) for name in _FLAGS}
+        return {name: name not in self.first_violation for name in _FLAG_LEVELS}
 
     @property
     def all_ok(self) -> bool:
-        return self.satisfies("totally-odd-strong")
+        return not self.first_violation
 
     @property
     def claim_level(self) -> str:
         """'totally-odd-strong', 'totally-odd-immersion', or 'none'."""
-        return next((claim for level, (_, claim) in REQUIREMENT_LEVELS.items()
+        return next((claim for level, claim in reversed(REQUIREMENT_LEVELS.items())
                      if self.satisfies(level)), "none")
 
     def satisfies(self, level: str) -> bool:
         if level not in REQUIREMENT_LEVELS:
             raise ValueError(f"unknown requirement level {level!r}")
-        return all(getattr(self, name) for name in REQUIREMENT_LEVELS[level][0])
+        levels = list(REQUIREMENT_LEVELS)
+        return all(levels.index(_FLAG_LEVELS[name]) > levels.index(level)
+                   for name in self.first_violation)
 
 
 def verify(host: Graph, cert: Certificate) -> VerificationReport:
@@ -229,11 +238,8 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
                 used.add(lo * n + hi)
                 u = v
 
-    return VerificationReport(
-        **{name: name not in violations for name in _FLAGS},
-        first_violation={name: violations[name]
-                         for name in _FLAGS if name in violations},
-    )
+    return VerificationReport({name: violations[name]
+                               for name in _FLAG_LEVELS if name in violations})
 
 
 def identity_certificate(host: Graph) -> Certificate:

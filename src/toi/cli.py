@@ -25,7 +25,6 @@ from .certificates import (
     Certificate,
     CertificateSchemaError,
     MalformedCertificateError,
-    identity_certificate,
     parse_certificate,
     serialize_certificate,
     verify,
@@ -106,6 +105,15 @@ def _emit(report: dict, lines: list, as_json: bool):
             print(line)
 
 
+def _verdict(rep):
+    """The report keys and text lines of a verification, which ``verify``
+    and ``construct`` print alike: each flag, then the claim level."""
+    flags = rep.flags()
+    return ({"flags": flags, "claim_level": rep.claim_level},
+            [*(f"{name}: {str(ok).lower()}" for name, ok in flags.items()),
+             f"claim_level: {rep.claim_level}"])
+
+
 def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
     g = _read_graph(graph_path)
     if cert_path is not None:
@@ -123,7 +131,10 @@ def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
 def _cmd_product(args) -> int:
     g = _read_graph(args.g)
     h = _read_graph(args.h)
-    prod = _PRODUCTS[args.op](g, h)
+    try:
+        prod = _PRODUCTS[args.op](g, h)
+    except ValueError as exc:  # an empty factor
+        raise _UsageError(str(exc))
     _write(args.output, write_graph_text(prod))
     report = {"command": "product", "op": args.op, "vertices": prod.n,
               "edges": prod.m, "output": args.output}
@@ -140,14 +151,12 @@ def _cmd_verify(args) -> int:
     except MalformedCertificateError as exc:
         raise _UsageError(f"certificate does not fit the graph: {exc}")
     ok = rep.satisfies(args.require)
+    verdict, verdict_lines = _verdict(rep)
     report = {"command": "verify", "clique_size": cert.clique_size,
-              "flags": rep.flags(), "claim_level": rep.claim_level,
-              "require": args.require, "ok": ok,
+              **verdict, "require": args.require, "ok": ok,
               "first_violation": rep.first_violation or None}
-    lines = [f"clique_size: {cert.clique_size}"]
-    lines += [f"{name}: {str(val).lower()}" for name, val in rep.flags().items()]
-    lines.append(f"claim_level: {rep.claim_level}")
-    lines.append(f"required: {args.require}")
+    lines = [f"clique_size: {cert.clique_size}", *verdict_lines,
+             f"required: {args.require}"]
     lines.append("result: PASS" if ok else "result: FAIL")
     if not ok and rep.first_violation:
         lines.append(f"violation: {rep.first_violation}")
@@ -187,16 +196,15 @@ def _cmd_construct(args) -> int:
     host, cert, level = _build_certificate(args)
     rep = verify(host, cert)
     ok = rep.satisfies(level)
+    verdict, verdict_lines = _verdict(rep)
     report = {"command": "construct", "kind": args.kind,
               "clique_size": cert.clique_size, "host_vertices": host.n,
-              "host_edges": host.m, "flags": rep.flags(),
-              "claim_level": rep.claim_level, "ok": ok,
+              "host_edges": host.m, **verdict, "ok": ok,
               "output": args.output if ok else None,
               "graph_output": args.emit_graph if ok and args.emit_graph else None}
     lines = [f"construct {args.kind}: K_{cert.clique_size} certificate "
-             f"in a host with {host.n} vertices, {host.m} edges"]
-    lines += [f"{name}: {str(val).lower()}" for name, val in rep.flags().items()]
-    lines.append(f"claim_level: {rep.claim_level}")
+             f"in a host with {host.n} vertices, {host.m} edges",
+             *verdict_lines]
     if ok:
         _write(args.output, serialize_certificate(cert))
         lines.append(f"wrote {args.output}")
@@ -236,7 +244,10 @@ def _cmd_solve(args) -> int:
     if args.max_t is not None and args.max_t < 1:
         raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read_graph(args.graph)
-    result = exact_toi(g, _budget(args), max_t=args.max_t)
+    try:
+        result = exact_toi(g, _budget(args), max_t=args.max_t)
+    except ValueError as exc:  # an empty graph
+        raise _UsageError(str(exc))
     witness_path = _write_witness(result, args.witness)
     report = {"command": "solve", "value": result.value,
               "status": result.status, "nodes_explored": result.nodes_explored,
@@ -251,7 +262,10 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check_conjecture(args) -> int:
     g = _read_graph(args.graph)
-    outcome = check_conjecture(g, _budget(args))
+    try:
+        outcome = check_conjecture(g, _budget(args))
+    except ValueError as exc:  # an empty graph
+        raise _UsageError(str(exc))
     satisfied = outcome.satisfied
     verdict = {True: "satisfied", False: "VIOLATED", None: "indeterminate"}[satisfied]
     chi, toi = outcome.chi, outcome.toi

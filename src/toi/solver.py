@@ -121,27 +121,31 @@ class _ToiSearch:
     def _routes(self, src: int, dst: int, used: int, terminals: int):
         """Yield simple odd routes from src to dst, src < dst, avoiding used
         edges and all terminals (a vertex bit mask) as interior vertices, as
-        (vertex tuple, edge mask).  DFS from src, neighbors ascending."""
-        return self._dfs((src,), terminals & ~(1 << dst), used, 0, dst)
-
-    def _dfs(self, path, avoid, taken, mask, goal):
-        """Extend ``path`` by one edge in every way that avoids the vertices
-        in ``avoid`` and the edges in ``taken``; ``mask`` holds the path's
-        own edges."""
-        self.ticker.tick()
-        length = len(path) - 1
-        for w, bit in self.nbr_bits[path[-1]]:
-            if taken & bit or avoid >> w & 1:
-                continue
-            if w == goal:
-                if length % 2 == 0:  # length+1 odd
-                    yield path + (w,), mask | bit
-                continue
-            if length + 1 >= self.cap:
-                self.cap_pruned = True
-                continue
-            yield from self._dfs(path + (w,), avoid | 1 << w, taken | bit,
-                                 mask | bit, goal)
+        (vertex tuple, edge mask).  Depth-first from src, neighbours
+        ascending, with one frame per path vertex: its neighbour iterator,
+        the path so far, the vertices the path may not enter, the edges it
+        may not take and its own edges; each frame is one search node."""
+        nbr_bits, cap, tick = self.nbr_bits, self.cap, self.ticker.tick
+        tick()
+        frames = [(iter(nbr_bits[src]), (src,), terminals & ~(1 << dst), used, 0)]
+        while frames:
+            nbrs, path, avoid, taken, mask = frames[-1]
+            for w, bit in nbrs:
+                if taken & bit or avoid >> w & 1:
+                    continue
+                if w == dst:
+                    if len(path) % 2:  # the route has len(path) edges
+                        yield path + (w,), mask | bit
+                    continue
+                if len(path) >= cap:
+                    self.cap_pruned = True
+                    continue
+                tick()
+                frames.append((iter(nbr_bits[w]), path + (w,), avoid | 1 << w,
+                               taken | bit, mask | bit))
+                break
+            else:
+                frames.pop()
 
     def find(self, t: int) -> Optional[Certificate]:
         """First totally odd strong K_t certificate in deterministic order,
@@ -159,11 +163,10 @@ class _ToiSearch:
             subset = tuple(sorted(combo))
             if self._edge_budget_refutes(subset):
                 continue
-            chosen = {}
-            if self._assign(subset, sum(1 << v for v in subset), pairs, 0, 0,
-                            self.adj_mask, chosen):
+            chosen = self._assign(subset, sum(1 << v for v in subset), pairs)
+            if chosen is not None:
                 cert = Certificate(t, subset,
-                                   {p: Route(v) for p, v in chosen.items()})
+                                   {p: Route(v) for p, v in zip(pairs, chosen)})
                 report = verify(g, cert)
                 if not report.all_ok:
                     raise RuntimeError("solver witness failed verification: "
@@ -171,11 +174,12 @@ class _ToiSearch:
                 return cert
         return None
 
-    def _assign(self, subset, terminals, pairs, pi, used, free,
-                chosen) -> bool:
-        """Route pairs[pi:] edge-disjointly from ``used``, recording each
-        route in ``chosen``; True on success.  ``free[v]`` is the bit mask
-        of v's neighbours across an edge not in ``used``.
+    def _assign(self, subset, terminals, pairs) -> Optional[list]:
+        """Route every pair edge-disjointly; returns the routes in pair
+        order, or None when there are none.  Depth-first over the pairs in
+        order, with one frame per pair being routed: its route iterator,
+        ``used`` (the edges of the routes before it) and ``free`` (``free[v]``
+        is the bit mask of v's neighbours across an edge not in ``used``).
 
         No terminal can run out of free incident edges here, so none is
         checked: a route is simple and has no terminal in its interior, so
@@ -184,7 +188,7 @@ class _ToiSearch:
         v, and deg(v) >= t - 1 (the eligibility rule of :meth:`find`)
         leaves at least one free edge for each of its unrouted pairs.
 
-        Forward check.  Before pairs[pi] is routed, every unrouted pair must
+        Forward check.  Before a pair is routed, every unrouted pair must
         still have an odd walk on free edges with no terminal in its
         interior (:func:`_odd_walks`); if one has none, the branch is cut
         here instead of at that pair's level.  Proof: a strong odd route on
@@ -194,26 +198,40 @@ class _ToiSearch:
         solution with or without the cap; the DFS order, the first witness
         and its bytes are unchanged, and ``cap_pruned`` can only be set
         less often, which makes a status no weaker."""
-        if pi == len(pairs):
-            return True
-        a, b = pairs[pi]
-        # pairs[pi:] are (a, b') for b' >= b, then every pair of a later row
-        cut = -(1 << subset[b])
-        for s in subset[a:-1]:
-            if not _odd_walks(s, terminals & -(2 << s) & cut, free, terminals):
-                return False
-            cut = -1
-        for verts, mask in self._routes(subset[a], subset[b], used, terminals):
-            chosen[(a, b)] = verts
-            rest = free.copy()
+        frames = []
+        chosen = []  # the current route of each frame
+        used, free = 0, self.adj_mask
+        while len(frames) < len(pairs):
+            a, b = pairs[len(frames)]
+            # the pairs from (a, b) on are (a, b') for b' >= b, then every
+            # pair of a later row
+            cut = -(1 << subset[b])
+            for s in subset[a:-1]:
+                if not _odd_walks(s, terminals & -(2 << s) & cut, free, terminals):
+                    break
+                cut = -1
+            else:
+                frames.append((self._routes(subset[a], subset[b], used, terminals),
+                               used, free))
+            # move the deepest frame to its next route, dropping the frames
+            # whose routes are used up
+            while frames:
+                routes, used, free = frames[-1]
+                route = next(routes, None)
+                if route is not None:
+                    break
+                frames.pop()
+            else:
+                return None
+            verts, mask = route
+            del chosen[len(frames) - 1:]
+            chosen.append(verts)
+            used |= mask
+            free = free.copy()
             for u, w in zip(verts, verts[1:]):
-                rest[u] &= ~(1 << w)
-                rest[w] &= ~(1 << u)
-            if self._assign(subset, terminals, pairs, pi + 1, used | mask,
-                            rest, chosen):
-                return True
-            del chosen[(a, b)]
-        return False
+                free[u] &= ~(1 << w)
+                free[w] &= ~(1 << u)
+        return chosen
 
     def _edge_budget_refutes(self, subset) -> bool:
         """True when the non-adjacent terminal pairs of ``subset`` need more
@@ -348,54 +366,64 @@ def _dsatur(g: Graph):
 
 
 def _k_colorable(g: Graph, k: int, ticker: _Ticker) -> bool:
-    # ties in saturation go to the first vertex of this order, as in _dsatur
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
-    return _color(g.adjacency, order, k, ticker, [-1] * g.n,
-                  [[0] * k for _ in range(g.n)], [0] * g.n, 0)
-
-
-def _color(adj, order, k, ticker, colors, counts, sat, in_use) -> bool:
-    """Colour the vertices with ``colors[v] == -1`` given colours
-    0..in_use-1 on the others, branching DSATUR-style on the uncoloured
-    vertex with the most distinct neighbour colours.  ``counts[v][c]``
-    counts the neighbours of v coloured c and ``sat[v]`` the nonzero
-    entries of that row; both are updated on colouring and undone on
-    backtrack.  A vertex may open at most one new colour (symmetry
-    breaking): colours in_use..k-1 appear nowhere yet, so they are
-    interchangeable at every node, whatever vertex the dynamic order picks
-    there."""
-    ticker.tick()
-    v, best = -1, -1
-    for w in order:
-        if colors[w] < 0 and sat[w] > best:
-            v, best = w, sat[w]
-    if v < 0:
-        return True
-    row = counts[v]
-    for c in range(min(k, in_use + 1)):
-        if row[c]:
-            continue
+    """True when g has a proper k-colouring.  Depth-first, with one frame
+    per coloured vertex, branching DSATUR-style on the uncoloured vertex
+    with the most distinct neighbour colours (ties to the first vertex of
+    ``order``, as in :func:`_dsatur`).  ``counts[v][c]`` counts the
+    neighbours of v coloured c and ``sat[v]`` the nonzero entries of that
+    row; both are updated on colouring and undone on backtrack.  A vertex
+    may open at most one new colour (symmetry breaking): colours
+    in_use..k-1 appear nowhere yet, so they are interchangeable at every
+    node, whatever vertex the dynamic order picks there."""
+    adj = g.adjacency
+    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    colors = [-1] * g.n
+    counts = [[0] * k for _ in range(g.n)]
+    sat = [0] * g.n
+    frames = []  # (vertex, colours in use before it) per coloured vertex
+    in_use = 0
+    while True:
+        ticker.tick()
+        v, best = -1, -1
+        for w in order:
+            if colors[w] < 0 and sat[w] > best:
+                v, best = w, sat[w]
+        if v < 0:
+            return True
+        frames.append((v, in_use))
+        # give the deepest vertex its next colour, undoing the one it had,
+        # and drop the vertices whose colours are used up
+        while frames:
+            v, in_use = frames[-1]
+            c = colors[v]
+            if c >= 0:
+                for w in adj[v]:
+                    counts[w][c] -= 1
+                    if not counts[w][c]:
+                        sat[w] -= 1
+            row, limit = counts[v], min(k, in_use + 1)
+            c += 1
+            while c < limit and row[c]:
+                c += 1
+            if c < limit:
+                break
+            colors[v] = -1
+            frames.pop()
+        else:
+            return False
         colors[v] = c
         for w in adj[v]:
             if not counts[w][c]:
                 sat[w] += 1
             counts[w][c] += 1
-        if _color(adj, order, k, ticker, colors, counts, sat,
-                  max(in_use, c + 1)):
-            return True
-        for w in adj[v]:
-            counts[w][c] -= 1
-            if not counts[w][c]:
-                sat[w] -= 1
-    colors[v] = -1
-    return False
+        in_use = max(in_use, c + 1)
 
 
 def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveResult:
     """Exact chromatic number.  A greedy clique gives a lower bound lb and
     one DSATUR colouring an upper bound ub; k = lb, lb+1, ..., ub-1 are then
     tried in turn by a backtracking k-colouring search that branches on the
-    uncoloured vertex of largest saturation (see :func:`_color`), and the
+    uncoloured vertex of largest saturation (see :func:`_k_colorable`), and the
     first k that succeeds is the answer, else ub."""
     if g.n == 0:
         raise ValueError("graph must be nonempty")

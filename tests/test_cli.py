@@ -291,6 +291,21 @@ def test_nan_time_limit_is_a_usage_error(capsys, files, command):
     assert err == "error: time_limit must be positive\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "{empty}"], "graph must be nonempty"),
+    (["check-conjecture", "{empty}"], "graph must be nonempty"),
+    (["product", "--op", "direct", "{empty}", "{k2}", "-o", "{dir}/x.graph"],
+     "product factors must be nonempty"),
+], ids=["solve", "check-conjecture", "product"])
+def test_empty_graph_is_a_usage_error(capsys, files, argv, message):
+    empty = files["dir"] / "empty.graph"
+    empty.write_text("p toi 0 0\n")
+    code, stdout, err = run(capsys, *(a.format(empty=empty, **files)
+                                      for a in argv))
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not (files["dir"] / "x.graph").exists()
+
+
 def test_check_conjecture_c5(capsys, files):
     code, stdout, _ = run(capsys, "--json", "check-conjecture", files["c5"])
     assert code == 0

@@ -462,6 +462,19 @@ def test_chromatic_number(g, chi):
     assert res.value == chi
 
 
+def test_searches_deeper_than_the_recursion_limit():
+    # K_46 routes C(46, 2) = 1,035 pairs, C_1001 colours 1,001 vertices and
+    # the uncapped route from 0 to 2 round C_2001 has 1,999 edges, each one
+    # search frame deep, past Python's default limit of 1,000
+    res = exact_toi(complete_graph(46))
+    assert (res.value, res.status, res.nodes_explored) == (46, "exact", 1036)
+    res = chromatic_number(cycle_graph(1001))
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 1001)
+    res = exact_toi(cycle_graph(2001), SearchBudget(max_route_length=2001))
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 2002)
+    assert res.witness.terminals == (0, 1, 2)
+
+
 def test_check_conjecture_c5():
     rep = check_conjecture(cycle_graph(5))
     assert rep.chi.value == 3 and rep.toi.value == 3
