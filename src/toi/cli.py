@@ -116,6 +116,8 @@ def _verdict(rep):
 
 def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
     g = _read_graph(graph_path)
+    if g.n == 0:
+        raise _UsageError(f"factor graph {graph_path} is empty")
     if cert_path is not None:
         cert = _read_cert(cert_path)
         try:

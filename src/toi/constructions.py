@@ -153,29 +153,24 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
 def _kts_pattern_routes(t: int, s: int):
     """Yield ``(cell_a, cell_b, verts, tag)`` for every same-row/same-column
     terminal pair, 1-based grid coordinates, in a fixed deterministic order."""
-    # same-row pairs
+    # same-row pairs; row-wrap is row with row 2t + 2 read as row 2
     for i in range(1, t + 1):
         r = 2 * i - 1
+        below, tag = (2 * i + 2, "row") if i < t else (2, "row-wrap")
         for j in range(1, s + 1):
             for j2 in range(j + 1, s + 1):
-                if i <= t - 1:
-                    verts = [(r, j), (2 * i, j2), (2 * i + 2, j), (r, j2)]
-                    tag = "row"
-                else:
-                    verts = [(r, j), (2 * t, j2), (2, j), (r, j2)]
-                    tag = "row-wrap"
-                yield (r, j), (r, j2), verts, tag
-    # same-column pairs
+                yield (r, j), (r, j2), [(r, j), (2 * i, j2), (below, j), (r, j2)], tag
+    # same-column pairs: two even-row cells between the terminals
     for j in range(1, s + 1):
         for i in range(1, t + 1):
             for i2 in range(i + 1, t + 1):
                 r, r2 = 2 * i - 1, 2 * i2 - 1
                 if i2 == i + 1:
                     if j <= s - 2:
-                        verts = [(r, j), (2 * i + 2, j + 2), (2 * i, j + 1), (r2, j)]
+                        mid = [(2 * i + 2, j + 2), (2 * i, j + 1)]
                         tag = "col-adjacent"
                     elif i <= t - 3:
-                        verts = [(r, j), (2 * i, j - 1), (2 * i + 6, j - (s - 2)), (r2, j)]
+                        mid = [(2 * i, j - 1), (2 * i + 6, j - (s - 2))]
                         tag = "col-adjacent-wrap-low"
                     else:
                         # rows (2t-5, 2t-3) and (2t-3, 2t-1) in columns s-1
@@ -189,22 +184,17 @@ def _kts_pattern_routes(t: int, s: int):
                             mid = [(2, 2), (4, 5 if s == 5 else 4)]
                         else:
                             mid = [(2, 2), {5: (6, 3), 6: (4, 6)}.get(s, (4, 5))]
-                        verts = [(r, j), *mid, (r2, j)]
                         tag = "col-adjacent-wrap-high"
+                elif j > s - 2 and i == 1 and i2 == t:
+                    mid = [(2 * t, j - 1), (2 * t - 6, j - 2)]
+                    tag = "col-skip-extreme"
                 else:
-                    if j <= s - 2:
-                        verts = [(r, j), (2 * i2, j + 1), (2 * i, j + 2), (r2, j)]
-                        tag = "col-skip"
-                    elif i == 1 and i2 == t:
-                        verts = [(r, j), (2 * t, j - 1), (2 * t - 6, j - 2), (r2, j)]
-                        tag = "col-skip-extreme"
-                    elif j == s - 1:
-                        verts = [(r, j), (2 * i2, s), (2 * i, 1), (r2, j)]
-                        tag = "col-skip-wrap-a"
-                    else:
-                        verts = [(r, j), (2 * i2, 1), (2 * i, 2), (r2, j)]
-                        tag = "col-skip-wrap-b"
-                yield (r, j), (r2, j), verts, tag
+                    # col-skip-wrap-a (j = s - 1) and col-skip-wrap-b (j = s)
+                    # are col-skip with columns taken mod s
+                    mid = [(2 * i2, j % s + 1), (2 * i, (j + 1) % s + 1)]
+                    tag = ("col-skip" if j <= s - 2 else
+                           "col-skip-wrap-a" if j == s - 1 else "col-skip-wrap-b")
+                yield (r, j), (r2, j), [(r, j), *mid, (r2, j)], tag
 
 
 def direct_kts_routes(t: int, s: int):
@@ -255,23 +245,17 @@ def toi_lower_bound_product(op: str, t: int, s: int) -> int:
     if t < 1 or s < 1:
         raise ValueError("toi values are at least 1")
     if op == "cartesian":
-        if min(t, s) == 1:
-            return max(t, s)
         if max(t, s) >= 4:
+            # cartesian_large, with the factors swapped when s < 4; for
+            # min(t, s) = 1 it is max(t, s), one copy of the larger factor
             return t + s - 1
-        if t == 3 and s == 3:
-            return 4
-        if {t, s} == {2, 3}:
-            return 3
-        return 2  # t = s = 2: the product of bipartite factors stays bipartite
+        if t == s == 3:
+            return 4  # cartesian_33
+        return max(t, s)  # one copy of the larger factor
     if op in ("lexicographic", "lex", "strong"):
-        return t * s
+        return t * s  # claimed; no builder in this module backs it yet
     if op == "direct":
-        if min(t, s) >= 3:
-            return min(t, s)  # diagonal clique of K_t x K_s
-        if min(t, s) >= 2:
-            return 2
-        return 1
+        return min(t, s)  # the diagonal of K_t x K_s
     raise ValueError(f"unknown product kind {op!r}")
 
 

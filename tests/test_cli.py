@@ -7,12 +7,15 @@ import pytest
 
 import toi.cli
 from toi.certificates import (
+    Certificate,
+    Route,
     identity_certificate,
     parse_certificate,
     serialize_certificate,
     verify,
 )
 from toi.cli import main
+from toi.constructions import direct_kts
 from toi.graphs import (
     cartesian_product,
     complete_graph,
@@ -116,7 +119,6 @@ def test_verify_pass_and_fail(capsys, files):
 
     # mutate one route to even length
     cert = parse_certificate(open(cert_path).read())
-    from toi.certificates import Certificate, Route, serialize_certificate
     pair = next(iter(cert.connections))
     conns = dict(cert.connections)
     verts = conns[pair].vertices
@@ -205,6 +207,32 @@ def test_construct_direct_kts_checks_sizes_before_the_host(capsys, files,
     assert code == 2
     assert stdout == ""
     assert err == "error: requires t >= 6 and s >= 5\n"
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+def test_construct_self_verification_failure_writes_nothing(
+        capsys, files, monkeypatch, as_json):
+    def broken_kts(t, s):
+        # the single (0, 6) becomes a two-edge, even route
+        cert = direct_kts(t, s)
+        return Certificate(cert.clique_size, cert.terminals,
+                           {**cert.connections, (0, 6): Route((0, 7, 11))})
+
+    monkeypatch.setattr(toi.cli, "direct_kts", broken_kts)
+    out = files["dir"] / "x.cert"
+    graph = files["dir"] / "x.graph"
+    code, stdout, _ = run(capsys, *(["--json"] if as_json else []),
+                          "construct", "direct-kts", "--t", "6", "--s", "5",
+                          "-o", str(out), "--emit-graph", str(graph))
+    assert code == 1
+    if as_json:
+        rep = json.loads(stdout)
+        assert (rep["ok"], rep["output"], rep["graph_output"]) == (
+            False, None, None)
+    else:
+        assert "self-verification failed: " in stdout
+        assert stdout.endswith("result: FAIL\n")
+    assert not out.exists() and not graph.exists()
 
 
 def test_construct_incomplete_factor_needs_cert(capsys, files):
@@ -296,14 +324,41 @@ def test_nan_time_limit_is_a_usage_error(capsys, files, command):
     (["check-conjecture", "{empty}"], "graph must be nonempty"),
     (["product", "--op", "direct", "{empty}", "{k2}", "-o", "{dir}/x.graph"],
      "product factors must be nonempty"),
-], ids=["solve", "check-conjecture", "product"])
+    (["construct", "cart-large", "--g", "{empty}", "--h", "{k4}",
+      "-o", "{dir}/x.graph"], "factor graph {empty} is empty"),
+    (["construct", "cart-33", "--g", "{k3}", "--h", "{empty}",
+      "-o", "{dir}/x.graph"], "factor graph {empty} is empty"),
+    (["construct", "direct-lift", "--g", "{empty}", "--h", "{k3}",
+      "--base", "{dir}/none.cert", "-o", "{dir}/x.graph"],
+     "factor graph {empty} is empty"),
+    (["construct", "cart-32", "--g", "{c5}", "--h", "{empty}",
+      "-o", "{dir}/x.graph"], "product factors must be nonempty"),
+], ids=["solve", "check-conjecture", "product", "cart-large", "cart-33",
+        "direct-lift", "cart-32"])
 def test_empty_graph_is_a_usage_error(capsys, files, argv, message):
     empty = files["dir"] / "empty.graph"
     empty.write_text("p toi 0 0\n")
     code, stdout, err = run(capsys, *(a.format(empty=empty, **files)
                                       for a in argv))
-    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert (code, stdout, err) == (2, "", f"error: {message.format(empty=empty)}\n")
     assert not (files["dir"] / "x.graph").exists()
+
+
+def test_construct_rejects_a_factor_certificate_that_fails(capsys, files):
+    # a K_3 certificate of K_3 whose (0, 2) route is even and runs
+    # through terminal 1
+    bad = identity_certificate(complete_graph(3))
+    bad = Certificate(3, bad.terminals,
+                      {**bad.connections, (0, 2): Route((0, 1, 2))})
+    cert_path = files["dir"] / "bad.cert"
+    cert_path.write_text(serialize_certificate(bad))
+    out = files["dir"] / "x.cert"
+    code, stdout, err = run(capsys, "construct", "cart-33",
+                            "--g", files["k3"], "--g-cert", str(cert_path),
+                            "--h", files["k3"], "-o", str(out))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: factor certificate {cert_path}: ")
+    assert not out.exists()
 
 
 def test_check_conjecture_c5(capsys, files):

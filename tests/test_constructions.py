@@ -8,7 +8,7 @@ from conftest import edge_class, is_translation, kts_declared_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import serialize_certificate, verify
+from toi.certificates import Certificate, serialize_certificate, verify
 from toi.constructions import (
     FactorImmersion,
     build_m_pair,
@@ -175,6 +175,23 @@ def test_direct_lift_bytes_are_pinned():
         "4a7602b14fd99da1f6bcfc62927adbf5526b5990463125deab9489c87335c108")
 
 
+def test_direct_lift_orients_reversed_base_routes():
+    # a base route stored from its higher-index terminal lifts to the same
+    # route as the one stored from the lower
+    k3 = FactorImmersion.identity(complete_graph(3))
+    k4 = FactorImmersion.identity(complete_graph(4))
+    base = exact_toi(direct_product(complete_graph(3),
+                                    complete_graph(4))).witness
+    flipped = Certificate(base.clique_size, base.terminals,
+                          {pair: route.reversed()
+                           for pair, route in base.connections.items()})
+    assert all(route.vertices[0] == flipped.terminals[b]
+               for (_, b), route in flipped.connections.items())
+    for fg in (_c5_factor(), k3):
+        assert serialize_certificate(direct_lift(fg, k4, flipped)) == \
+            serialize_certificate(direct_lift(fg, k4, base))
+
+
 def test_direct_lift_rejects_wrong_base():
     fg = FactorImmersion.identity(complete_graph(3))
     bad_base = exact_toi(direct_product(complete_graph(3),
@@ -290,6 +307,18 @@ def test_direct_kts_tags_are_declared(t, s):
     _, paths = direct_kts_routes(t, s)
     for ca, cb, _, tag in paths:
         assert tag in kts_declared_classes(t, s, (ca, cb)), tag
+
+
+def test_direct_kts_routes_are_pinned():
+    # the route table with its tags, which certificates do not carry
+    lines = []
+    for t in range(6, 11):
+        for s in range(5, 10):
+            singles, paths = direct_kts_routes(t, s)
+            lines.append(f"{t} {s} {singles}")
+            lines += [f"{ca} {cb} {verts} {tag}" for ca, cb, verts, tag in paths]
+    assert _sha256("\n".join(lines)) == (
+        "dfb968609ea806057fc6c4284e35d43c5d4703d004b380ee182f7d17f1202c15")
 
 
 def test_direct_kts_paths_are_edge_disjoint_three_edge_routes():
@@ -419,6 +448,13 @@ def test_lower_bound_formulas():
     assert toi_lower_bound_product("cartesian", 3, 3) == 4
     assert toi_lower_bound_product("cartesian", 2, 2) == 2
     assert toi_lower_bound_product("cartesian", 1, 7) == 7
+    # every boundary between the table's cases
+    assert [toi_lower_bound_product("cartesian", t, s) for t, s in
+            [(1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4), (3, 4)]] \
+        == [3, 3, 3, 3, 4, 4, 5, 6]
+    assert [toi_lower_bound_product("direct", t, s) for t, s in
+            [(2, 2), (5, 3), (7, 4)]] == [2, 3, 4]
+    assert toi_lower_bound_product("lexicographic", 2, 5) == 10
     with pytest.raises(ValueError):
         toi_lower_bound_product("tensor", 2, 2)
 

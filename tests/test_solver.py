@@ -117,6 +117,18 @@ def test_tiny_budget_times_out():
     assert res.nodes_explored == 5
 
 
+@pytest.mark.parametrize("solve", [
+    lambda b: exact_toi(cartesian_product(complete_graph(3),
+                                          complete_graph(4)), b),
+    lambda b: chromatic_number(mycielski(5), b),
+], ids=["exact_toi", "chromatic_number"])
+def test_expired_clock_stops_at_the_first_check(solve):
+    # the clock is read every 256th node, so an already-passed deadline
+    # stops both searches there
+    res = solve(SearchBudget(time_limit=1e-9))
+    assert (res.status, res.nodes_explored) == ("timeout", 256)
+
+
 def test_max_t_truncation_is_lower_bound_only():
     res = exact_toi(complete_graph(5), max_t=3)
     assert res.value == 3
