@@ -8,7 +8,8 @@ defined by the verifier: callers (and the test suite) re-verify every output.
 Index convention: the closed-form route tables below are written with 1-based
 grid coordinates ``(i, j)`` and converted to the 0-based vertex id
 ``(i-1)*s + j-1`` only where routes become edges or certificates, to avoid
-off-by-one drift.
+off-by-one drift.  Every direct-product route lifted from factor routes is a
+concatenation of walks that step along both factor routes at once.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ class FactorImmersion:
 # Direct product: lifting a base immersion of K_t x K_s into G x H
 # ---------------------------------------------------------------------------
 
+def _walk(p, q, n_h) -> Route:
+    """Direct-product route from ``(p[0], q[0])`` to ``(p[-1], q[-1])``.
+
+    Walks both factor routes at once; one with no interior vertex left
+    alternates between its last two vertices until the other finishes.  Both
+    have an odd edge count, so their interior counts k and l are even, and
+    the shorter route's alternation lands on its end vertex exactly when the
+    longer route does.
+    """
+    def at(seq, i):
+        last = len(seq) - 2
+        return seq[i] if i <= last else seq[last + (i - last) % 2]
+
+    return Route(tuple(at(p, i) * n_h + at(q, i)
+                       for i in range(max(len(p), len(q)) - 1))
+                 + (p[-1] * n_h + q[-1],))
+
+
 def build_m_pair(p, q, n_h) -> tuple:
     """Build the two odd, vertex-disjoint connector routes in a direct product.
 
@@ -65,53 +84,22 @@ def build_m_pair(p, q, n_h) -> tuple:
     ``q`` an odd route ``v - b_1 - ... - b_l - v'`` in the second.  Returns
     routes joining ``(u,v)`` to ``(u',v')`` and ``(u,v')`` to ``(u',v)`` in
     the direct product, with product vertices encoded row-major by ``n_h``.
-
-    Both routes run diagonally until the shorter factor route has no
-    interior vertex left, then alternate its coordinate while the longer one
-    finishes.  Substituting shows the two cases hold the degenerate ones:
-    ``k <= l`` gives the pure diagonal for ``k == l`` (two single product
-    edges for ``k == l == 0``) and ``k == 0``, and ``k > l`` gives ``l == 0``.
+    Both routes walk ``p`` and ``q`` side by side, the second with ``q``
+    reversed; the shorter factor route alternates its last two vertices
+    while the longer finishes.
     """
     p, q = tuple(p), tuple(q)
-    k = len(p) - 2
-    l = len(q) - 2
-    if (k + 1) % 2 == 0 or (l + 1) % 2 == 0:
+    if len(p) % 2 or len(q) % 2:
         raise ValueError("both factor routes must have odd edge count")
-
-    def enc(a, b):
-        return a * n_h + b
-
-    u, up = p[0], p[-1]
-    v, vp = q[0], q[-1]
-
-    if k <= l:
-        # diagonal for k steps, then alternate a_k / u' while q finishes
-        m1 = [enc(p[m], q[m]) for m in range(k + 1)]
-        m1 += [enc(up if (m - k) % 2 == 1 else p[k], q[m]) for m in range(k + 1, l + 1)]
-        m2 = [enc(u, vp)]
-        m2 += [enc(p[m], q[l + 1 - m]) for m in range(1, k + 1)]
-        m2 += [enc(up if m % 2 == 0 else p[k], q[m]) for m in range(l - k, 0, -1)]
-    else:
-        # diagonal for l steps, then alternate the second coordinate while p finishes
-        m1 = [enc(p[m], q[m]) for m in range(l + 1)]
-        m1 += [enc(p[m], vp if (m - l) % 2 == 1 else q[l]) for m in range(l + 1, k + 1)]
-        m2 = [enc(u, vp)]
-        m2 += [enc(p[m], q[l + 1 - m]) for m in range(1, l + 1)]
-        m2 += [enc(p[m], v if (m - l) % 2 == 1 else q[1]) for m in range(l + 1, k + 1)]
-    m1.append(enc(up, vp))
-    m2.append(enc(up, v))
-    return Route(tuple(m1)), Route(tuple(m2))
+    return _walk(p, q, n_h), _walk(p, q[::-1], n_h)
 
 
 def _m_route(fg: FactorImmersion, fh: FactorImmersion, a, b) -> Route:
     """Connector route from grid cell ``a = (i, j)`` to ``b = (i', j')``,
     terminal indices 0-based, differing in both coordinates."""
-    (i, j), (i2, j2) = a, b
-    m1, m2 = build_m_pair(fg.route(min(i, i2), max(i, i2)),
-                          fh.route(min(j, j2), max(j, j2)), fh.host.n)
-    # m1 runs (ilo, jlo) -> (ihi, jhi), m2 runs (ilo, jhi) -> (ihi, jlo)
-    route = m1 if (i < i2) == (j < j2) else m2
-    return route if i < i2 else route.reversed()
+    if a > b:
+        return _m_route(fg, fh, b, a).reversed()
+    return _walk(fg.route(a[0], b[0]), fh.route(a[1], b[1]), fh.host.n)
 
 
 def direct_lift(fg: FactorImmersion, fh: FactorImmersion,

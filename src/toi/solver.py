@@ -315,6 +315,7 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         upper = max_t
     search = _ToiSearch(g, budget)
     refuted_completely = True
+    # upper >= 1 and find(1) succeeds before any tick: the loop always returns
     for t in range(upper, 0, -1):
         try:
             cert = search.find(t)
@@ -326,7 +327,6 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
             status = "exact" if exact else "lower-bound-only"
             return SolveResult(t, cert, status, search.ticker.nodes)
         refuted_completely = refuted_completely and not search.cap_pruned
-    return SolveResult(1, Certificate(1, (0,)), "exact", search.ticker.nodes)
 
 
 def _greedy_clique(g: Graph) -> int:

@@ -610,9 +610,12 @@ def test_certificate_text_round_trip(cert):
         2, (0, 1), {(0, 1): Route((0, 2, 3, 1))})),
      MalformedCertificateError,
      "route for pair (0, 1) visits vertex 3 outside host (n=3)"),
+    (lambda: Certificate(0, ()), ValueError, "clique size must be positive"),
+    (lambda: Certificate(2, (0,)), ValueError,
+     "terminal count must equal the clique size"),
 ], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
         "parse-missing-first", "verify-high",
-        "verify-negative", "verify-n"])
+        "verify-negative", "verify-n", "cert-size", "cert-terminals"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:
         build()

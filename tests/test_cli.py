@@ -2,6 +2,7 @@
 
 import gc
 import json
+from pathlib import Path
 
 import pytest
 
@@ -57,7 +58,7 @@ def test_product_round_trip(capsys, files):
                           files["k3"], files["k3"], "-o", out)
     assert code == 0
     assert "9 vertices, 18 edges" in stdout
-    got = read_graph_text(open(out).read())
+    got = read_graph_text(Path(out).read_text())
     want = cartesian_product(complete_graph(3), complete_graph(3))
     assert got.edges == want.edges and got.labels == want.labels
 
@@ -118,11 +119,11 @@ def test_verify_pass_and_fail(capsys, files):
     assert "result: PASS" in stdout
 
     # mutate one route to even length
-    cert = parse_certificate(open(cert_path).read())
+    cert = parse_certificate(Path(cert_path).read_text())
     pair = next(iter(cert.connections))
     conns = dict(cert.connections)
     verts = conns[pair].vertices
-    host = read_graph_text(open(host_path).read())
+    host = read_graph_text(Path(host_path).read_text())
     nbr = next(w for w in host.adjacency[verts[-2]]
                if w not in (verts[-1], verts[0]))
     conns[pair] = Route(verts[:-1] + (nbr, verts[-1]))
@@ -259,7 +260,7 @@ def test_construct_cart_33_with_solver_cert(capsys, files):
                      "-o", out)
     assert code == 0
     host = cartesian_product(cycle_graph(5), cycle_graph(5))
-    assert verify(host, parse_certificate(open(out).read())).all_ok
+    assert verify(host, parse_certificate(Path(out).read_text())).all_ok
 
 
 def test_construct_direct_lift_cli(capsys, files):
@@ -293,8 +294,8 @@ def test_solve_k3_cartesian_k3(capsys, files, tmp_path):
     assert code == 0
     rep = json.loads(stdout)
     assert rep["value"] == 4 and rep["status"] == "exact"
-    host = read_graph_text(open(prod).read())
-    assert verify(host, parse_certificate(open(wit).read())).all_ok
+    host = read_graph_text(Path(prod).read_text())
+    assert verify(host, parse_certificate(Path(wit).read_text())).all_ok
 
 
 def test_solve_timeout_exit_code(capsys, files):
@@ -344,6 +345,19 @@ def test_empty_graph_is_a_usage_error(capsys, files, argv, message):
     assert not (files["dir"] / "x.graph").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "{k4}", "{dir}/missing.cert"],
+     "cannot read certificate file {dir}/missing.cert: "
+     "[Errno 2] No such file or directory: '{dir}/missing.cert'"),
+    (["product", "--op", "direct", "{k2}", "{k2}", "-o", "{dir}/no/x.graph"],
+     "cannot write {dir}/no/x.graph: "
+     "[Errno 2] No such file or directory: '{dir}/no/x.graph'"),
+], ids=["unreadable-cert", "unwritable-output"])
+def test_missing_file_is_a_usage_error(capsys, files, argv, message):
+    code, stdout, err = run(capsys, *(a.format(**files) for a in argv))
+    assert (code, stdout, err) == (2, "", f"error: {message.format(**files)}\n")
+
+
 def test_construct_rejects_a_factor_certificate_that_fails(capsys, files):
     # a K_3 certificate of K_3 whose (0, 2) route is even and runs
     # through terminal 1
@@ -382,7 +396,7 @@ def test_check_conjecture_writes_both_witnesses(capsys, files):
     host = cycle_graph(5)
     colouring = rep["chi"]["colouring"]
     assert all(colouring[u] != colouring[v] for u, v in host.edges)
-    cert = parse_certificate(open(wit).read())
+    cert = parse_certificate(Path(wit).read_text())
     assert cert.clique_size == 3 and verify(host, cert).all_ok
     code, stdout, _ = run(capsys, "check-conjecture", files["c5"],
                           "--witness", wit)
@@ -404,8 +418,8 @@ def test_reruns_byte_identical(capsys, files):
     b = run(capsys, "--json", "construct", "direct-kts", "--t", "6",
             "--s", "5", "-o", str(files["dir"] / "b.cert"))
     assert a[1].replace("a.cert", "b.cert") == b[1]
-    assert open(files["dir"] / "a.cert").read() == \
-        open(files["dir"] / "b.cert").read()
+    assert (files["dir"] / "a.cert").read_text() == \
+        (files["dir"] / "b.cert").read_text()
 
 
 def test_json_schema_stable(capsys, files):

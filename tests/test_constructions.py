@@ -8,9 +8,10 @@ from conftest import edge_class, is_translation, kts_declared_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import Certificate, serialize_certificate, verify
+from toi.certificates import Certificate, Route, serialize_certificate, verify
 from toi.constructions import (
     FactorImmersion,
+    _m_route,
     build_m_pair,
     cartesian_32,
     cartesian_33,
@@ -122,13 +123,28 @@ def test_m_pair_bytes_are_pinned():
         "31b03177f79b7319237e056620645db0fa80229fa75c1915138730c1da9599b0")
 
 
+def test_m_pair_bytes_are_pinned_to_fourteen_interior_vertices():
+    # long walks on both sides of k = l, with the factor routes in both
+    # argument orders
+    lines = []
+    for k in range(0, 16, 2):
+        for l in range(0, 16, 2):
+            for seed in range(3):
+                p = _even_path(seed * 7919 + k, k + 1, 30)
+                q = _even_path(seed * 104729 + l, l + 1, 40)
+                for m1, m2 in (build_m_pair(p, q, 40), build_m_pair(q, p, 40)):
+                    lines.append(f"{m1.vertices} {m2.vertices}")
+    assert _sha256("\n".join(lines)) == (
+        "e971f7dbcaa8f41ed1975116622727d7027d659b51d6d2810abbc43236b8a901")
+
+
 # --- lifting a base certificate into a product of factor immersions ------
 
-def _c5_factor():
-    c5 = cycle_graph(5)
-    res = exact_toi(c5)
+def _cycle_factor(n=5):
+    cycle = cycle_graph(n)
+    res = exact_toi(cycle)
     assert res.value == 3
-    return FactorImmersion(c5, res.witness)
+    return FactorImmersion(cycle, res.witness)
 
 
 def test_direct_lift_identity_factors():
@@ -144,7 +160,7 @@ def test_direct_lift_identity_factors():
 
 
 def test_direct_lift_c5_factors():
-    f = _c5_factor()
+    f = _cycle_factor()
     base = exact_toi(direct_product(complete_graph(3),
                                     complete_graph(3))).witness
     cert = direct_lift(f, f, base)
@@ -164,7 +180,7 @@ def test_direct_lift_requires_size_three_factors():
 def test_direct_lift_bytes_are_pinned():
     k3 = FactorImmersion.identity(complete_graph(3))
     k4 = FactorImmersion.identity(complete_graph(4))
-    c5 = _c5_factor()
+    c5 = _cycle_factor()
     base34 = exact_toi(direct_product(complete_graph(3),
                                       complete_graph(4))).witness
     base33 = exact_toi(direct_product(complete_graph(3),
@@ -173,6 +189,21 @@ def test_direct_lift_bytes_are_pinned():
         "091e591621af78c4fc75d8116de8de538906878c811e8451046a4dce4dd518e1")
     assert _sha256(serialize_certificate(direct_lift(c5, c5, base33))) == (
         "4a7602b14fd99da1f6bcfc62927adbf5526b5990463125deab9489c87335c108")
+
+
+def test_m_route_bytes_are_pinned():
+    # every connector between grid cells that differ in both coordinates,
+    # in both directions, over factor routes of up to 7 edges
+    c7, c9 = _cycle_factor(7), _cycle_factor(9)
+    k4 = FactorImmersion.identity(complete_graph(4))
+    lines = []
+    for fg, fh in ((c7, c9), (c9, k4), (k4, c7)):
+        cells = list(itertools.product(range(fg.size), range(fh.size)))
+        for a, b in itertools.product(cells, repeat=2):
+            if a[0] != b[0] and a[1] != b[1]:
+                lines.append(f"{a} {b} {_m_route(fg, fh, a, b).vertices}")
+    assert _sha256("\n".join(lines)) == (
+        "f716d8ece6022fb2d1eeee42d117e955f304c335817f12c651d2585d7be49de5")
 
 
 def test_direct_lift_orients_reversed_base_routes():
@@ -187,7 +218,7 @@ def test_direct_lift_orients_reversed_base_routes():
                            for pair, route in base.connections.items()})
     assert all(route.vertices[0] == flipped.terminals[b]
                for (_, b), route in flipped.connections.items())
-    for fg in (_c5_factor(), k3):
+    for fg in (_cycle_factor(), k3):
         assert serialize_certificate(direct_lift(fg, k4, flipped)) == \
             serialize_certificate(direct_lift(fg, k4, base))
 
@@ -198,6 +229,29 @@ def test_direct_lift_rejects_wrong_base():
                                         complete_graph(4))).witness
     with pytest.raises(ValueError):
         direct_lift(fg, fg, bad_base)
+
+
+_K3 = FactorImmersion.identity(complete_graph(3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: _K3.route(1, 1), "no route from a terminal to itself"),
+    # fits the K3 x K3 grid, but its one route has two edges
+    (lambda: direct_lift(_K3, _K3, Certificate(2, (0, 8),
+                                               {(0, 1): Route((0, 4, 8))})),
+     "base certificate is not a totally odd immersion: "
+     "{'all_odd': 'pair (0, 1): route has even length 2'}"),
+    (lambda: toi_lower_bound_product("direct", 0, 3), "toi values are at least 1"),
+    (lambda: toi_lower_bound_product("direct", 3, 0), "toi values are at least 1"),
+    (lambda: cartesian_large(FactorImmersion.identity(complete_graph(1)),
+                             FactorImmersion.identity(complete_graph(4))),
+     "requires t >= 2"),
+], ids=["route-to-itself", "direct-lift-even-base", "lower-bound-t",
+        "lower-bound-s", "cartesian-large-t1"])
+def test_construction_error_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
 
 
 # --- edge classes in K_{2t} x K_s ----------------------------------------
@@ -353,7 +407,7 @@ def test_cartesian_large_complete_factors(t, s):
 
 
 def test_cartesian_large_noncomplete_factor():
-    f = _c5_factor()
+    f = _cycle_factor()
     fh = FactorImmersion.identity(complete_graph(4))
     cert = cartesian_large(f, fh)
     assert cert.clique_size == 3 + 4 - 1
@@ -378,7 +432,7 @@ def test_cartesian_33():
 
 
 def test_cartesian_33_noncomplete_factors():
-    f = _c5_factor()
+    f = _cycle_factor()
     cert = cartesian_33(f, f)
     rep = verify(cartesian_product(cycle_graph(5), cycle_graph(5)), cert)
     assert rep.all_ok, rep.first_violation
@@ -410,7 +464,7 @@ def test_cartesian_32_figure_route():
 
 def test_cartesian_bytes_are_pinned():
     k3, k4, k5 = (FactorImmersion.identity(complete_graph(n)) for n in (3, 4, 5))
-    c5 = _c5_factor()
+    c5 = _cycle_factor()
     for cert, digest in [
         (cartesian_large(k4, k5),
          "43c86da70d984881d2ecc43fb180d65c452a2b8cf66adca3edd583d58ad68c90"),

@@ -252,6 +252,19 @@ def test_graph_validation_messages(edges, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: Graph(3, frozenset(), labels=((0, 0), (0, 1))),
+     "labels must cover every vertex"),
+    (lambda: complete_graph(0), "complete graph needs at least one vertex"),
+    (lambda: cycle_graph(2), "cycle needs at least three vertices"),
+    (lambda: path_graph(0), "path needs at least one vertex"),
+], ids=["labels", "complete-0", "cycle-2", "path-0"])
+def test_constructor_error_messages(build, message):
+    with pytest.raises(ValueError) as err:
+        build()
+    assert str(err.value) == message
+
+
 def test_graph_text_bytes_are_pinned():
     text = write_graph_text(direct_product(complete_graph(12), complete_graph(5)))
     assert hashlib.sha256(text.encode()).hexdigest() == (

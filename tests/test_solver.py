@@ -153,6 +153,13 @@ def test_route_length_cap_admits_routes_of_that_length():
     assert routes(2) == []
 
 
+@pytest.mark.parametrize("solve", [exact_toi, chromatic_number])
+def test_empty_graph_is_rejected(solve):
+    with pytest.raises(ValueError) as err:
+        solve(Graph(0, frozenset()))
+    assert str(err.value) == "graph must be nonempty"
+
+
 def test_max_t_must_be_positive():
     with pytest.raises(ValueError):
         exact_toi(complete_graph(4), max_t=0)
