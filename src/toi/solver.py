@@ -9,10 +9,19 @@ This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
 
+Before any search, :func:`exact_toi` builds a lower bound in one pass: the
+greedy clique, whose routes are its edges, or for a non-bipartite graph a
+K_3 on an odd cycle (:func:`_constructed_witness`).  When it meets the
+upper bound it is the answer, with no search node and the status a hit at
+the upper bound gets; otherwise it is where the descent stops, and what a
+timeout reports.
+
 The conjecture check chi(G) <= toi(G) (:func:`check_conjecture`) rests on
 witnesses: a proper DSATUR colouring with k colours and a verified K_k
-certificate settle it as True.  The exact chromatic number is searched only
-when level k is refuted, and False needs chi and toi both exact.
+certificate settle it as True.  A K_k certificate whose routes are single
+edges is a K_k subgraph, which makes chi = k exact.  The exact chromatic
+number is searched only when level k is refuted, and False needs chi and
+toi both exact.
 
 Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
 None.  Terminal sets skipped by the edge-budget bound (proved in
@@ -40,7 +49,9 @@ from .graphs import Graph, is_bipartite
 
 @dataclass
 class SearchBudget:
-    """Resource limits for one solver call."""
+    """Resource limits for one solver call.  ``max_route_length`` caps the
+    routes the search enumerates only: a constructed witness (see
+    :func:`_constructed_witness`) is verified but may have longer routes."""
 
     max_nodes: int = 200_000_000
     time_limit: Optional[float] = None
@@ -153,8 +164,6 @@ class _ToiSearch:
         ``cap_pruned`` tells afterwards whether the route cap cut a branch."""
         g = self.g
         self.cap_pruned = False
-        if t == 1:
-            return Certificate(1, (0,)) if g.n >= 1 else None
         eligible = [v for v in range(g.n) if len(self.adj[v]) >= t - 1]
         order = sorted(eligible, key=lambda v: (-len(self.adj[v]), v))
         pairs = list(itertools.combinations(range(t), 2))
@@ -165,13 +174,8 @@ class _ToiSearch:
                 continue
             chosen = self._assign(subset, sum(1 << v for v in subset), pairs)
             if chosen is not None:
-                cert = Certificate(t, subset,
-                                   {p: Route(v) for p, v in zip(pairs, chosen)})
-                report = verify(g, cert)
-                if not report.all_ok:
-                    raise RuntimeError("solver witness failed verification: "
-                                       f"{report.first_violation}")
-                return cert
+                return _verified(g, Certificate(
+                    t, subset, {p: Route(v) for p, v in zip(pairs, chosen)}))
         return None
 
     def _assign(self, subset, terminals, pairs) -> Optional[list]:
@@ -250,6 +254,16 @@ class _ToiSearch:
         return 2 * far > terminal_other or far > other_other
 
 
+def _verified(g: Graph, cert: Certificate) -> Certificate:
+    """``cert`` once it verifies ``totally-odd-strong`` in g; raises
+    otherwise, also under python -O."""
+    report = verify(g, cert)
+    if not report.all_ok:
+        raise RuntimeError("solver witness failed verification: "
+                           f"{report.first_violation}")
+    return cert
+
+
 def _odd_walks(src, need, free, terminals) -> bool:
     """True when every vertex in ``need`` is joined to ``src`` by an odd
     walk on the edges in ``free`` whose interior avoids ``terminals``;
@@ -281,10 +295,20 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
               max_t: Optional[int] = None) -> SolveResult:
     """Maximum t with a totally odd strong K_t immersion, by descending search.
 
+    The upper bound is the eligibility bound, 2 on a bipartite graph, and
+    ``max_t``; the lower bound is the constructed witness of
+    :func:`_constructed_witness`, cut to the upper bound.  When the two
+    meet, that witness is the answer after 0 nodes.  Otherwise levels are
+    searched from the upper bound down to the lower one; a timeout reports
+    the lower bound and its witness.
+
     Status is "exact" only when every value above the answer was refuted
     completely: the route length cap never pruned a branch while that value
     was searched.  A ``max_t`` cutoff below the natural upper bound
-    downgrades a hit at the cutoff to "lower-bound-only".
+    downgrades a hit at the cutoff to "lower-bound-only".  The constructed
+    witness is a real immersion, so the lower bound itself is never
+    refuted completely: a descent that refutes it has met the route cap,
+    and it is reported with that witness as "lower-bound-only".
 
     Edge-budget bound.  Fix a terminal set T of size t with A pairs adjacent
     in G and F = C(t, 2) - A non-adjacent ("far") pairs.  Let
@@ -308,40 +332,79 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         raise ValueError("max_t must be positive")
     budget = budget or SearchBudget()
     upper = _eligibility_bound(g)
-    if is_bipartite(g)[0]:
+    bipartite, odd_cycle = is_bipartite(g)
+    if bipartite:
         upper = min(upper, 2)
     truncated = max_t is not None and max_t < upper
     if truncated:
         upper = max_t
+    built = _constructed_witness(g, odd_cycle, upper)
+    lower = built.clique_size
+    if lower == upper:
+        return SolveResult(lower, _verified(g, built),
+                           "lower-bound-only" if truncated else "exact", 0)
     search = _ToiSearch(g, budget)
     refuted_completely = True
-    # upper >= 1 and find(1) succeeds before any tick: the loop always returns
-    for t in range(upper, 0, -1):
+    for t in range(upper, lower - 1, -1):
         try:
             cert = search.find(t)
         except _BudgetExhausted:
-            return SolveResult(1, Certificate(1, (0,)), "timeout",
+            return SolveResult(lower, _verified(g, built), "timeout",
                                search.ticker.nodes)
         if cert is not None:
             exact = refuted_completely and not (truncated and t == upper)
             status = "exact" if exact else "lower-bound-only"
             return SolveResult(t, cert, status, search.ticker.nodes)
         refuted_completely = refuted_completely and not search.cap_pruned
+    return SolveResult(lower, _verified(g, built), "lower-bound-only",
+                       search.ticker.nodes)
 
 
-def _greedy_clique(g: Graph) -> int:
-    best = 0
+def _greedy_clique(g: Graph) -> list:
+    """The largest of the cliques grown greedily from each vertex, members
+    in order of descending degree, then id; the first one on ties."""
+    best = []
     adj_mask = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
     order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
     for v in order:
         # common: the vertices adjacent to every member of the clique so far
-        size, common = 1, adj_mask[v]
+        members, common = [v], adj_mask[v]
         for w in order:
             if common >> w & 1:
-                size += 1
+                members.append(w)
                 common &= adj_mask[w]
-        best = max(best, size)
+        if len(members) > len(best):
+            best = members
     return best
+
+
+def _constructed_witness(g: Graph, odd_cycle, upper: int) -> Certificate:
+    """A K_r certificate built in one pass, r at most ``upper``: the larger
+    of two witnesses, the clique on ties, cut to its first ``upper``
+    terminals.
+
+    The greedy clique (:func:`_greedy_clique`) is its own certificate: its
+    vertices, ascending, are the terminals and every route is one edge.
+    ``odd_cycle``, the cycle :func:`is_bipartite` returns for a
+    non-bipartite graph (None otherwise), carries a K_3: with c0, c1, c2 its
+    first three vertices, two routes are the edges c0-c1 and c1-c2, and the
+    third runs from c0 backwards round the rest of the cycle to c2.  On a
+    cycle of odd length L that route has L - 2 edges, an odd number, and its
+    interior holds no terminal; the three routes share no edge."""
+    clique = _greedy_clique(g)
+    if odd_cycle is not None and len(clique) < 3:
+        c = odd_cycle
+        terminals = (c[0], c[1], c[2])
+        routes = {(0, 1): (c[0], c[1]), (1, 2): (c[1], c[2]),
+                  (0, 2): (c[0], *c[:1:-1])}
+    else:
+        terminals = tuple(sorted(clique))
+        routes = {(a, b): (terminals[a], terminals[b])
+                  for a, b in itertools.combinations(range(len(terminals)), 2)}
+    r = min(len(terminals), upper)
+    return Certificate(r, terminals[:r], {pair: Route(vertices)
+                                          for pair, vertices in routes.items()
+                                          if pair[1] < r})
 
 
 def _dsatur(g: Graph):
@@ -428,7 +491,7 @@ def chromatic_number(g: Graph, budget: Optional[SearchBudget] = None) -> SolveRe
     if g.n == 0:
         raise ValueError("graph must be nonempty")
     ticker = _Ticker(budget or SearchBudget())
-    lb = _greedy_clique(g)
+    lb = len(_greedy_clique(g))
     _, ub = _dsatur(g)
     value = ub
     try:
@@ -458,7 +521,10 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     The DSATUR colouring (:func:`_dsatur`) is checked proper and gives k
     colours, so chi <= k; then ``exact_toi(g, budget, max_t=k)`` asks for a
     K_k.  A verified K_k witness settles the conjecture for G, and chi is
-    reported as k with status "upper-bound-only".  Only when level k is
+    reported as k.  Its status is "exact" when every route of the witness
+    is a single edge: the terminals then span a K_k subgraph, so chi >= k.
+    This holds whenever the greedy clique has k vertices, and no search node
+    is spent.  Otherwise chi is "upper-bound-only".  Only when level k is
     refuted does :func:`chromatic_number` run, on the nodes and time that
     exact_toi left; exact_toi has then descended to toi itself, exact when
     every refutation was complete.  The verdict is True when an upper bound
@@ -480,7 +546,10 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
                            f"{k}-colouring")
     toi = exact_toi(g, budget, max_t=k)
     chi = SolveResult(k, None, "upper-bound-only", 0)
-    if toi.status != "timeout" and toi.value < k:
+    if toi.value == k:
+        if all(route.edge_count == 1 for route in toi.witness.connections.values()):
+            chi = SolveResult(k, None, "exact", 0)
+    elif toi.status != "timeout":
         nodes = budget.max_nodes - toi.nodes_explored
         seconds = (None if budget.time_limit is None
                    else budget.time_limit - (time.monotonic() - start))

@@ -18,6 +18,7 @@ from toi.certificates import (
 from toi.cli import main
 from toi.constructions import direct_kts
 from toi.graphs import (
+    Graph,
     cartesian_product,
     complete_graph,
     cycle_graph,
@@ -40,6 +41,10 @@ def files(tmp_path):
         "k4": write("k4.graph", complete_graph(4)),
         "c5": write("c5.graph", cycle_graph(5)),
         "p3": write("p3.graph", path_graph(3)),
+        # the wheel C5 + hub: DSATUR takes 4 colours and the constructed
+        # lower bound is 3, so solve and check-conjecture search level 4
+        "w5": write("w5.graph", Graph(6, cycle_graph(5).edges
+                                      | {(i, 5) for i in range(5)})),
         "dir": tmp_path,
     }
 
@@ -299,7 +304,7 @@ def test_solve_k3_cartesian_k3(capsys, files, tmp_path):
 
 
 def test_solve_timeout_exit_code(capsys, files):
-    code, stdout, _ = run(capsys, "--json", "solve", files["k4"],
+    code, stdout, _ = run(capsys, "--json", "solve", files["w5"],
                           "--nodes", "2")
     assert code == 1
     assert json.loads(stdout)["status"] == "timeout"
@@ -404,7 +409,7 @@ def test_check_conjecture_writes_both_witnesses(capsys, files):
 
 
 def test_check_conjecture_timeout_is_indeterminate(capsys, files):
-    code, stdout, _ = run(capsys, "--json", "check-conjecture", files["k4"],
+    code, stdout, _ = run(capsys, "--json", "check-conjecture", files["w5"],
                           "--nodes", "2")
     assert code == 1
     assert json.loads(stdout)["satisfied"] is None
@@ -467,7 +472,7 @@ def test_main_leaves_collector_state_as_found(capsys, files, monkeypatch,
      0),
     (["verify", "{k3}", "{dir}/k3.cert"], 0),
     (["solve", "{k3}"], 0),
-    (["solve", "{k4}", "--nodes", "2"], 1),
+    (["solve", "{w5}", "--nodes", "2"], 1),
     (["check-conjecture", "{k3}"], 0),
 ], ids=["product", "construct", "verify", "solve", "solve-timeout",
         "check-conjecture"])

@@ -28,6 +28,7 @@ from toi.solver import (
     SolveResult,
     _k_colorable,
     _Ticker,
+    _constructed_witness,
     _ToiSearch,
     check_conjecture,
     chromatic_number,
@@ -109,10 +110,12 @@ def test_budget_validation():
 
 
 def test_tiny_budget_times_out():
+    # the timeout keeps the constructed lower bound, a triangle of K3 x K3
     g = cartesian_product(complete_graph(3), complete_graph(3))
     res = exact_toi(g, SearchBudget(max_nodes=5))
     assert res.status == "timeout"
-    assert res.value == 1
+    assert res.value == 3
+    assert verify(g, res.witness).all_ok
     # the refused sixth node is not counted
     assert res.nodes_explored == 5
 
@@ -138,10 +141,23 @@ def test_max_t_truncation_is_lower_bound_only():
 def test_route_length_cap_degrades_status():
     # a capped search that finds the answer below the degree bound cannot
     # rule out larger cliques reached through long routes
-    g = cycle_graph(9)
+    g = cartesian_product(complete_graph(3), complete_graph(3))
     res = exact_toi(g, SearchBudget(max_route_length=1))
-    assert res.value == 2  # true value is 3, reachable only via longer routes
+    assert res.value == 3  # true value is 4, reachable only via longer routes
     assert res.status == "lower-bound-only"
+    assert res.nodes_explored > 0
+
+
+def test_route_cap_refuting_the_lower_bound_returns_its_witness():
+    # mycielski(4) has no triangle, so with single-edge routes every level
+    # down to the constructed bound 3 is refuted; the odd-cycle K_3, whose
+    # long route the cap does not bind, is returned instead
+    g = mycielski(4)
+    res = exact_toi(g, SearchBudget(max_route_length=1))
+    assert (res.value, res.status) == (3, "lower-bound-only")
+    assert res.nodes_explored > 0
+    assert max(r.edge_count for r in res.witness.connections.values()) > 1
+    assert verify(g, res.witness).all_ok
 
 
 def test_route_length_cap_admits_routes_of_that_length():
@@ -256,11 +272,14 @@ def test_capped_exact_status_is_sound():
 
 
 def test_unverified_witness_is_never_returned(monkeypatch):
-    # the check is an explicit raise, so it holds under python -O too
+    # the check is an explicit raise, so it holds under python -O too; K4
+    # returns its constructed clique, K3 x K3 a search hit at level 4
     failing = verify(complete_graph(3), Certificate(3, (0, 1, 2)))
     monkeypatch.setattr(toi.solver, "verify", lambda g, cert: failing)
-    with pytest.raises(RuntimeError, match="missing pair"):
-        exact_toi(complete_graph(4))
+    for host in (complete_graph(4),
+                 cartesian_product(complete_graph(3), complete_graph(3))):
+        with pytest.raises(RuntimeError, match="missing pair"):
+            exact_toi(host)
 
 
 def test_search_leaves_no_reference_cycles():
@@ -341,9 +360,9 @@ EXACT_TOI_NODES = {
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
                      6, 5521),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
-                     9, 37),
+                     9, 0),
     "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
-                  6, 16),
+                  6, 0),
     "mycielski-4": (mycielski(4), 4, 355),
 }
 
@@ -452,7 +471,7 @@ def test_colouring_bounds_match_plain_scans():
     # colours included, is pinned against the plain scans
     for g in itertools.chain(_differential_graphs(), DSATUR_SUBOPTIMAL):
         clique, colors = _plain_bounds(g)
-        assert toi.solver._greedy_clique(g) == clique
+        assert len(toi.solver._greedy_clique(g)) == clique
         assert toi.solver._dsatur(g) == (colors, max(colors) + 1)
 
 
@@ -484,14 +503,16 @@ def test_chromatic_number(g, chi):
 def test_searches_deeper_than_the_recursion_limit():
     # K_46 routes C(46, 2) = 1,035 pairs, C_1001 colours 1,001 vertices and
     # the uncapped route from 0 to 2 round C_2001 has 1,999 edges, each one
-    # search frame deep, past Python's default limit of 1,000
-    res = exact_toi(complete_graph(46))
-    assert (res.value, res.status, res.nodes_explored) == (46, "exact", 1036)
+    # search frame deep, past Python's default limit of 1,000.  exact_toi
+    # settles both toi hosts by construction, so the search runs directly
+    search = _ToiSearch(complete_graph(46), SearchBudget())
+    assert search.find(46).clique_size == 46
+    assert search.ticker.nodes == 1036
     res = chromatic_number(cycle_graph(1001))
     assert (res.value, res.status, res.nodes_explored) == (3, "exact", 1001)
-    res = exact_toi(cycle_graph(2001), SearchBudget(max_route_length=2001))
-    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 2002)
-    assert res.witness.terminals == (0, 1, 2)
+    search = _ToiSearch(cycle_graph(2001), SearchBudget(max_route_length=2001))
+    assert search.find(3).terminals == (0, 1, 2)
+    assert search.ticker.nodes == 2002
 
 
 def test_check_conjecture_c5():
@@ -628,8 +649,10 @@ def test_check_conjecture_agrees_with_the_old_rule():
     # Where toi <= k (the DSATUR colour count), the new toi search is a
     # suffix of the old descending one, so it never spends more nodes.
     # Where toi > k the old search stopped at a witness above k that the
-    # new one never looks for, and finding one at level k can cost more:
-    # two graphs here, by 3 and 1 nodes.  The total still falls.
+    # new one never looks for.  Finding one at level k can cost more, but
+    # here 44 of the 45 such graphs have a constructed witness of size k,
+    # which settles level k with no node, and the last one takes 15 nodes
+    # against the old 32, so no graph costs more.
     old_total = new_total = dearer = 0
     for g in itertools.chain(_all_graphs(5), _sweep_graphs(321, 300)):
         verdict, old_toi, nodes = _old_check(g)
@@ -645,7 +668,7 @@ def test_check_conjecture_agrees_with_the_old_rule():
             assert all(rep.colouring[u] != rep.colouring[v] for u, v in g.edges)
             assert rep.toi.witness.clique_size >= rep.chi.value
             assert verify(g, rep.toi.witness).all_ok
-    assert dearer == 2
+    assert dearer == 0
     assert new_total < old_total
 
 
@@ -670,9 +693,100 @@ def test_check_conjecture_strong_c5_c5_stays_indeterminate():
     assert rep.toi.status == "timeout" and rep.satisfied is None
 
 
+def test_constructed_witnesses_verify():
+    # on every host and at every cut, clique and odd-cycle witnesses alike
+    hosts = itertools.chain(_differential_graphs(), [
+        cycle_graph(201), petersen(), mycielski(5), complete_graph(7),
+        strong_product(cycle_graph(5), cycle_graph(5))])
+    kinds = set()
+    for g in hosts:
+        bipartite, odd_cycle = is_bipartite(g)
+        full = _constructed_witness(g, odd_cycle, g.n)
+        routes = full.connections.values()
+        kinds.add(all(r.edge_count == 1 for r in routes))
+        for upper in range(1, full.clique_size + 1):
+            cert = _constructed_witness(g, odd_cycle, upper)
+            assert cert.clique_size == upper
+            assert verify(g, cert).satisfies("totally-odd-strong"), sorted(g.edges)
+        assert full.clique_size == max(len(toi.solver._greedy_clique(g)),
+                                       0 if bipartite else 3)
+    assert kinds == {True, False}
+
+
+def test_long_odd_cycle_is_exact_without_search():
+    # every level-3 set of C201 was walked before; the cycle is the witness
+    g = cycle_graph(201)
+    res = exact_toi(g)
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 0)
+    assert res.witness.terminals == (100, 99, 98)
+    assert sorted(r.edge_count for r in res.witness.connections.values()) == [
+        1, 1, 199]
+
+
+def test_timeout_keeps_the_constructed_bound():
+    # strong C5 x C5 holds a K_4 (K2 x K2) below an upper bound of 9
+    g = strong_product(cycle_graph(5), cycle_graph(5))
+    res = exact_toi(g, SearchBudget(max_nodes=1_000))
+    assert (res.value, res.status, res.nodes_explored) == (4, "timeout", 1_000)
+    assert res.witness.terminals == tuple(sorted(toi.solver._greedy_clique(g)))
+    assert verify(g, res.witness).satisfies("totally-odd-strong")
+
+
+def test_construction_changes_no_verdict(monkeypatch):
+    # all 5-vertex graphs and the 3,000 sweep graphs of seed 321: toi and
+    # its status, chi's value and the verdict match the search alone, and
+    # no graph spends more nodes; 2,956 sweep graphs now spend none, where
+    # the search alone spent 30,368 of its 31,095 nodes
+    graphs = list(itertools.chain(_all_graphs(5), _sweep_graphs(321, 3_000)))
+    built = [check_conjecture(g) for g in graphs]
+    # a one-terminal bound makes every call search down from its upper
+    # bound, as before the construction
+    monkeypatch.setattr(toi.solver, "_constructed_witness",
+                        lambda g, odd_cycle, upper: Certificate(1, (0,)))
+    settled = saved = total = 0
+    for g, new in zip(graphs, built):
+        old = check_conjecture(g)
+        assert (new.toi.value, new.toi.status, new.chi.value, new.satisfied) == (
+            old.toi.value, old.toi.status, old.chi.value, old.satisfied), \
+            sorted(g.edges)
+        assert new.satisfied is True
+        new_nodes = new.toi.nodes_explored + new.chi.nodes_explored
+        old_nodes = old.toi.nodes_explored + old.chi.nodes_explored
+        assert new_nodes <= old_nodes
+        if g.n > 5:
+            total += old_nodes
+            if not new_nodes:
+                settled, saved = settled + 1, saved + old_nodes
+    assert (settled, saved, total) == (2_956, 30_368, 31_095)
+
+
+def test_chi_is_exact_exactly_when_the_clique_meets_k():
+    # a K_k witness of single edges is a K_k subgraph, so chi >= k; the
+    # odd-cycle witness, and on these graphs every searched one, has a
+    # longer route and leaves chi an upper bound
+    assert check_conjecture(complete_graph(6)).chi == SolveResult(
+        6, None, "exact", 0)
+    assert check_conjecture(cycle_graph(5)).chi == SolveResult(
+        3, None, "upper-bound-only", 0)
+    statuses = set()
+    for g in _differential_graphs():
+        rep = check_conjecture(g)
+        k = len(set(rep.colouring))
+        if len(toi.solver._greedy_clique(g)) == k:
+            assert rep.chi == SolveResult(k, None, "exact", 0)
+            assert rep.toi.nodes_explored == 0
+        elif rep.toi.value == k:
+            assert rep.chi == SolveResult(k, None, "upper-bound-only", 0)
+        statuses.add(rep.chi.status)
+    assert statuses == {"exact", "upper-bound-only"}
+
+
 def test_check_conjecture_indeterminate_on_timeout():
-    g = cartesian_product(complete_graph(3), complete_graph(3))
+    # DSATUR takes 4 colours on the triangle-free mycielski(4), whose
+    # constructed bound is 3, so level 4 is searched and the budget runs out
+    g = mycielski(4)
     rep = check_conjecture(g, SearchBudget(max_nodes=3))
+    assert (rep.toi.status, rep.toi.value) == ("timeout", 3)
     assert rep.satisfied is None
 
 
