@@ -60,7 +60,7 @@ class Route:
     def _trusted(cls, vertices: tuple) -> "Route":
         """``Route(vertices)`` without the checks, which the caller has made."""
         route = object.__new__(cls)
-        object.__setattr__(route, "vertices", vertices)
+        _set_vertices(route, vertices)
         return route
 
     @property
@@ -78,6 +78,10 @@ class Route:
 
     def reversed(self) -> "Route":
         return Route(tuple(reversed(self.vertices)))
+
+
+# the slot's own setter: one C call, past the frozen dataclass's __setattr__
+_set_vertices = Route.vertices.__set__
 
 
 def concatenate_routes(routes) -> Route:

@@ -212,19 +212,23 @@ def direct_kts(t: int, s: int) -> Certificate:
     Requires t >= 6 and s >= 5.
     """
     singles, paths = direct_kts_routes(t, s)
-    # terminal (r, j), r = 2i-1 odd (1-based), has index (i-1)*s + j-1 =
-    # (r-1)//2*s + j-1 and vertex id (r-1)*s + j-1; every route runs from
-    # its lower-index terminal, so no route is reversed; every step changes
-    # row (odd to odd, or odd, even, other even, odd), so none repeats a
-    # vertex immediately and Route._trusted skips only that check
-    terminals = tuple(2 * i * s + j for i in range(t) for j in range(s))
-    connections = {
-        ((ra - 1) // 2 * s + ja - 1, (rb - 1) // 2 * s + jb - 1):
-            Route._trusted(((ra - 1) * s + ja - 1, (rb - 1) * s + jb - 1))
-        for (ra, ja), (rb, jb) in singles}
-    for (ra, ja), (rb, jb), verts, _tag in paths:
-        connections[((ra - 1) // 2 * s + ja - 1, (rb - 1) // 2 * s + jb - 1)] = \
-            Route._trusted(tuple((r - 1) * s + j - 1 for r, j in verts))
+    # cell (r, j) is vertex (r-1)*s + j-1, and the terminal (r, j), r = 2i-1
+    # odd (1-based), has index (i-1)*s + j-1; both tables hold one int
+    # object per id.  Every route runs from its lower-index terminal, so
+    # none is reversed; every step changes row (odd to odd, or odd, even,
+    # other even, odd), so none repeats a vertex immediately and
+    # Route._trusted skips only that check
+    ids = list(range(2 * t * s))
+    vertex = {(r, j): ids[(r - 1) * s + j - 1]
+              for r in range(1, 2 * t + 1) for j in range(1, s + 1)}
+    index = {(r, j): ids[(r - 1) // 2 * s + j - 1]
+             for r in range(1, 2 * t, 2) for j in range(1, s + 1)}
+    terminals = tuple(vertex[cell] for cell in index)
+    connections = {(index[a], index[b]): Route._trusted((vertex[a], vertex[b]))
+                   for a, b in singles}
+    for a, b, verts, _tag in paths:
+        connections[(index[a], index[b])] = Route._trusted(
+            tuple(map(vertex.__getitem__, verts)))
     return Certificate(t * s, terminals, connections)
 
 

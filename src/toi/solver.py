@@ -19,9 +19,9 @@ timeout reports.
 The conjecture check chi(G) <= toi(G) (:func:`check_conjecture`) rests on
 witnesses: a proper DSATUR colouring with k colours and a verified K_k
 certificate settle it as True.  A K_k certificate whose routes are single
-edges is a K_k subgraph, which makes chi = k exact.  The exact chromatic
-number is searched only when level k is refuted, and False needs chi and
-toi both exact.
+edges is a K_k subgraph, which makes chi = k exact; so does any K_k
+certificate for k <= 3.  The exact chromatic number is searched only when
+level k is refuted, and False needs chi and toi both exact.
 
 Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
 None.  Terminal sets skipped by the edge-budget bound (proved in
@@ -122,7 +122,7 @@ class _ToiSearch:
         self.ticker = _Ticker(budget)
         edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
-        self.adj_mask = [sum(1 << w for w in nbrs) for nbrs in self.adj]
+        self.adj_mask = g._adjacency_masks
         # (neighbour, edge bit) pairs in ascending neighbour order
         self.nbr_bits = [[(w, 1 << edge_index[(v, w) if v < w else (w, v)])
                           for w in nbrs] for v, nbrs in enumerate(self.adj)]
@@ -164,8 +164,7 @@ class _ToiSearch:
         ``cap_pruned`` tells afterwards whether the route cap cut a branch."""
         g = self.g
         self.cap_pruned = False
-        eligible = [v for v in range(g.n) if len(self.adj[v]) >= t - 1]
-        order = sorted(eligible, key=lambda v: (-len(self.adj[v]), v))
+        order = [v for v in g._degree_order if len(self.adj[v]) >= t - 1]
         pairs = list(itertools.combinations(range(t), 2))
         for combo in itertools.combinations(order, t):
             self.ticker.tick()
@@ -231,7 +230,7 @@ class _ToiSearch:
             del chosen[len(frames) - 1:]
             chosen.append(verts)
             used |= mask
-            free = free.copy()
+            free = list(free)
             for u, w in zip(verts, verts[1:]):
                 free[u] &= ~(1 << w)
                 free[w] &= ~(1 << u)
@@ -287,8 +286,9 @@ def _odd_walks(src, need, free, terminals) -> bool:
 
 
 def _eligibility_bound(g: Graph) -> int:
-    degs = sorted((len(a) for a in g.adjacency), reverse=True)
-    return max(t for t, d in enumerate(degs, 1) if d >= t - 1)
+    adj = g.adjacency
+    return max(t for t, v in enumerate(g._degree_order, 1)
+               if len(adj[v]) >= t - 1)
 
 
 def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
@@ -332,13 +332,17 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         raise ValueError("max_t must be positive")
     budget = budget or SearchBudget()
     upper = _eligibility_bound(g)
-    bipartite, odd_cycle = is_bipartite(g)
-    if bipartite:
-        upper = min(upper, 2)
+    clique, odd_cycle = _greedy_clique(g), None
+    # a clique of 3 or more holds an odd cycle, and only a smaller one needs
+    # is_bipartite's cycle for the witness
+    if len(clique) < 3:
+        bipartite, odd_cycle = is_bipartite(g)
+        if bipartite:
+            upper = min(upper, 2)
     truncated = max_t is not None and max_t < upper
     if truncated:
         upper = max_t
-    built = _constructed_witness(g, odd_cycle, upper)
+    built = _constructed_witness(clique, odd_cycle, upper)
     lower = built.clique_size
     if lower == upper:
         return SolveResult(lower, _verified(g, built),
@@ -364,8 +368,7 @@ def _greedy_clique(g: Graph) -> list:
     """The largest of the cliques grown greedily from each vertex, members
     in order of descending degree, then id; the first one on ties."""
     best = []
-    adj_mask = [sum(1 << w for w in nbrs) for nbrs in g.adjacency]
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    adj_mask, order = g._adjacency_masks, g._degree_order
     for v in order:
         # common: the vertices adjacent to every member of the clique so far
         members, common = [v], adj_mask[v]
@@ -378,20 +381,19 @@ def _greedy_clique(g: Graph) -> list:
     return best
 
 
-def _constructed_witness(g: Graph, odd_cycle, upper: int) -> Certificate:
+def _constructed_witness(clique, odd_cycle, upper: int) -> Certificate:
     """A K_r certificate built in one pass, r at most ``upper``: the larger
     of two witnesses, the clique on ties, cut to its first ``upper``
     terminals.
 
-    The greedy clique (:func:`_greedy_clique`) is its own certificate: its
-    vertices, ascending, are the terminals and every route is one edge.
-    ``odd_cycle``, the cycle :func:`is_bipartite` returns for a
+    ``clique``, the greedy clique (:func:`_greedy_clique`), is its own
+    certificate: its vertices, ascending, are the terminals and every route
+    is one edge.  ``odd_cycle``, the cycle :func:`is_bipartite` returns for a
     non-bipartite graph (None otherwise), carries a K_3: with c0, c1, c2 its
     first three vertices, two routes are the edges c0-c1 and c1-c2, and the
     third runs from c0 backwards round the rest of the cycle to c2.  On a
     cycle of odd length L that route has L - 2 edges, an odd number, and its
     interior holds no terminal; the three routes share no edge."""
-    clique = _greedy_clique(g)
     if odd_cycle is not None and len(clique) < 3:
         c = odd_cycle
         terminals = (c[0], c[1], c[2])
@@ -413,7 +415,7 @@ def _dsatur(g: Graph):
     colors = [-1] * g.n
     # the colours on each vertex's coloured neighbours
     seen = [set() for _ in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: (-len(g.adjacency[v]), v))
+    order = g._degree_order
     for _ in order:
         v, best = -1, -1
         for u in order:
@@ -438,8 +440,7 @@ def _k_colorable(g: Graph, k: int, ticker: _Ticker) -> bool:
     may open at most one new colour (symmetry breaking): colours
     in_use..k-1 appear nowhere yet, so they are interchangeable at every
     node, whatever vertex the dynamic order picks there."""
-    adj = g.adjacency
-    order = sorted(range(g.n), key=lambda v: (-len(adj[v]), v))
+    adj, order = g.adjacency, g._degree_order
     colors = [-1] * g.n
     counts = [[0] * k for _ in range(g.n)]
     sat = [0] * g.n
@@ -524,7 +525,9 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     reported as k.  Its status is "exact" when every route of the witness
     is a single edge: the terminals then span a K_k subgraph, so chi >= k.
     This holds whenever the greedy clique has k vertices, and no search node
-    is spent.  Otherwise chi is "upper-bound-only".  Only when level k is
+    is spent.  It is "exact" for k <= 3 as well: a K_2 witness has an edge,
+    and the three odd routes of a K_3 witness close an odd walk, so G is
+    not bipartite.  Otherwise chi is "upper-bound-only".  Only when level k is
     refuted does :func:`chromatic_number` run, on the nodes and time that
     exact_toi left; exact_toi has then descended to toi itself, exact when
     every refutation was complete.  The verdict is True when an upper bound
@@ -547,7 +550,8 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     toi = exact_toi(g, budget, max_t=k)
     chi = SolveResult(k, None, "upper-bound-only", 0)
     if toi.value == k:
-        if all(route.edge_count == 1 for route in toi.witness.connections.values()):
+        if k <= 3 or all(route.edge_count == 1
+                         for route in toi.witness.connections.values()):
             chi = SolveResult(k, None, "exact", 0)
     elif toi.status != "timeout":
         nodes = budget.max_nodes - toi.nodes_explored

@@ -536,6 +536,13 @@ def test_serialized_bytes_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (t, s)
 
 
+def test_bench_scale_certificate_bytes_are_pinned():
+    # the K_432 certificate of the kts-roundtrip benchmark
+    text = serialize_certificate(direct_kts(24, 18))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "1d3a7c6d4487a83e60177b0640c86a5a8a5c397eb82bfc2e56e942617e66a4f6")
+
+
 def _reference_line(pair, route):
     """The connection line format, spelled with json.dumps."""
     return json.dumps({"pair": list(pair), "vertices": list(route.vertices)},

@@ -395,7 +395,7 @@ def test_check_conjecture_writes_both_witnesses(capsys, files):
                           "--witness", wit)
     assert code == 0
     rep = json.loads(stdout)
-    assert rep["chi"] == {"value": 3, "status": "upper-bound-only",
+    assert rep["chi"] == {"value": 3, "status": "exact",
                           "colouring": [0, 1, 0, 1, 2]}
     assert rep["toi"] == {"value": 3, "status": "exact", "witness": wit}
     host = cycle_graph(5)

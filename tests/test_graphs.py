@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -269,6 +270,43 @@ def test_graph_text_bytes_are_pinned():
     text = write_graph_text(direct_product(complete_graph(12), complete_graph(5)))
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "3e9ba6d068751df99f373b3ee3886dc32790a3c745cfaeaf5f31352975899b67")
+
+
+def test_product_text_bytes_are_pinned():
+    # every product of every ordered pair of factors, one digest per product
+    factors = [complete_graph(3), complete_graph(5), cycle_graph(5), path_graph(4)]
+    for op, digest in {
+        cartesian_product: "331685742f302ea7550efd5ccd42bfef42caa7075109bbd93e3d036f781cafde",
+        direct_product: "385815fe2494b5233e82021c19fc8b55b28a0a8198ca96f621b3f166f46d2477",
+        lexicographic_product: "de12adea21ae993c81cb5cf9533c7111e848c57352d851537524011f6b61865d",
+        strong_product: "0e90c885cd0040617920ad3906b125cbd6daba87407ab5e816414f3611032175",
+    }.items():
+        h = hashlib.sha256()
+        for g, f in itertools.product(factors, repeat=2):
+            h.update(write_graph_text(op(g, f)).encode())
+        assert h.hexdigest() == digest, op.__name__
+
+
+def test_bench_scale_graph_text_bytes_are_pinned():
+    # the K_48 x K_18 host of the kts-roundtrip benchmark
+    text = write_graph_text(direct_product(complete_graph(48), complete_graph(18)))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a44871698464d573edd157229fcaf100ed8c0bc31381cbc2c74e3f55456477ad")
+
+
+def test_product_memory_shares_vertex_ids():
+    # K_48 x K_18 has 345,168 edges on 864 vertices: with one int object per
+    # vertex id an edge costs its tuple and its frozenset slot, about 105
+    # bytes retained; a fresh int per endpoint adds about 45 more
+    k48, k18 = complete_graph(48), complete_graph(18)
+    tracemalloc.start()
+    try:
+        g = direct_product(k48, k18)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    m = g.m
+    assert retained < 125 * m
 
 
 _PRODUCTS = [cartesian_product, direct_product, lexicographic_product,

@@ -701,15 +701,15 @@ def test_constructed_witnesses_verify():
     kinds = set()
     for g in hosts:
         bipartite, odd_cycle = is_bipartite(g)
-        full = _constructed_witness(g, odd_cycle, g.n)
+        clique = toi.solver._greedy_clique(g)
+        full = _constructed_witness(clique, odd_cycle, g.n)
         routes = full.connections.values()
         kinds.add(all(r.edge_count == 1 for r in routes))
         for upper in range(1, full.clique_size + 1):
-            cert = _constructed_witness(g, odd_cycle, upper)
+            cert = _constructed_witness(clique, odd_cycle, upper)
             assert cert.clique_size == upper
             assert verify(g, cert).satisfies("totally-odd-strong"), sorted(g.edges)
-        assert full.clique_size == max(len(toi.solver._greedy_clique(g)),
-                                       0 if bipartite else 3)
+        assert full.clique_size == max(len(clique), 0 if bipartite else 3)
     assert kinds == {True, False}
 
 
@@ -742,7 +742,7 @@ def test_construction_changes_no_verdict(monkeypatch):
     # a one-terminal bound makes every call search down from its upper
     # bound, as before the construction
     monkeypatch.setattr(toi.solver, "_constructed_witness",
-                        lambda g, odd_cycle, upper: Certificate(1, (0,)))
+                        lambda clique, odd_cycle, upper: Certificate(1, (0,)))
     settled = saved = total = 0
     for g, new in zip(graphs, built):
         old = check_conjecture(g)
@@ -761,13 +761,14 @@ def test_construction_changes_no_verdict(monkeypatch):
 
 
 def test_chi_is_exact_exactly_when_the_clique_meets_k():
-    # a K_k witness of single edges is a K_k subgraph, so chi >= k; the
-    # odd-cycle witness, and on these graphs every searched one, has a
-    # longer route and leaves chi an upper bound
+    # a K_k witness of single edges is a K_k subgraph, so chi >= k, and so
+    # is any K_3 witness, whose odd routes close an odd walk; for k >= 4
+    # the searched witnesses on these graphs have a longer route and leave
+    # chi an upper bound
     assert check_conjecture(complete_graph(6)).chi == SolveResult(
         6, None, "exact", 0)
     assert check_conjecture(cycle_graph(5)).chi == SolveResult(
-        3, None, "upper-bound-only", 0)
+        3, None, "exact", 0)
     statuses = set()
     for g in _differential_graphs():
         rep = check_conjecture(g)
@@ -776,7 +777,8 @@ def test_chi_is_exact_exactly_when_the_clique_meets_k():
             assert rep.chi == SolveResult(k, None, "exact", 0)
             assert rep.toi.nodes_explored == 0
         elif rep.toi.value == k:
-            assert rep.chi == SolveResult(k, None, "upper-bound-only", 0)
+            status = "exact" if k <= 3 else "upper-bound-only"
+            assert rep.chi == SolveResult(k, None, status, 0)
         statuses.add(rep.chi.status)
     assert statuses == {"exact", "upper-bound-only"}
 
