@@ -223,7 +223,7 @@ def _cmd_construct(args) -> int:
 
 def _budget(args) -> SearchBudget:
     kwargs = {}
-    if getattr(args, "nodes", None) is not None:
+    if args.nodes is not None:
         kwargs["max_nodes"] = args.nodes
     if args.time_limit is not None:
         kwargs["time_limit"] = args.time_limit

@@ -11,10 +11,9 @@ absence is only reported when the search space was fully enumerated.
 
 Before any search, :func:`exact_toi` builds a lower bound in one pass: the
 greedy clique, whose routes are its edges, or for a non-bipartite graph a
-K_3 on an odd cycle (:func:`_constructed_witness`).  When it meets the
-upper bound it is the answer, with no search node and the status a hit at
-the upper bound gets; otherwise it is where the descent stops, and what a
-timeout reports.
+K_3 on an odd cycle (:func:`_constructed_witness`).  When it reaches the
+top of the descent it is the answer, with no search node; otherwise it is
+where the descent stops, and what a timeout reports.
 
 The conjecture check chi(G) <= toi(G) (:func:`check_conjecture`) rests on
 witnesses: a proper DSATUR colouring with k colours and a verified K_k
@@ -23,17 +22,17 @@ edges is a K_k subgraph, which makes chi = k exact; so does any K_k
 certificate for k <= 3.  The exact chromatic number is searched only when
 level k is refuted, and False needs chi and toi both exact.
 
-Exactness rule: a level t is refuted when :meth:`_ToiSearch.find` returns
-None.  Terminal sets skipped by the edge-budget bound (proved in
-:func:`exact_toi`) have no route system at all, and branches cut by the
-forward check (proved in :meth:`_ToiSearch._assign`) have no completion,
-so neither weakens a refutation.  The route length cap does, but only
-where it actually cut a branch: a refutation counts as complete unless the
-cap pruned a non-terminal neighbour while that level was searched.  An
-answer is exact when every level above it was refuted completely.  A
-single level is asked through ``exact_toi(g, budget, max_t=t)``:
-``value == t`` means K_t is present, ``value < t`` with status "exact"
-means it is definitely absent.
+Exactness rule: an answer is exact when the witnessed lower end meets the
+proven upper end.  The lower end is the largest verified witness.  The
+upper end starts at the eligibility bound (2 on a bipartite graph) and
+drops to t - 1 when :meth:`_ToiSearch.find` refutes level t with
+``cap_pruned`` False.  Terminal sets skipped by the edge-budget bound
+(proved in :func:`exact_toi`) have no route system at all, and branches
+cut by the forward check (proved in :meth:`_ToiSearch._assign`) have no
+completion, so neither weakens a refutation; the route length cap does
+where it cut a branch.  A single level is asked through
+``exact_toi(g, budget, max_t=t)``: ``value == t`` means K_t is present,
+``value < t`` with status "exact" means it is definitely absent.
 """
 
 from __future__ import annotations
@@ -58,12 +57,12 @@ class SearchBudget:
     max_route_length: Optional[int] = None
 
     def __post_init__(self):
-        if self.max_nodes <= 0:
-            raise ValueError("max_nodes must be positive")
         # written so that NaN, for which every comparison is False, fails
+        if not self.max_nodes > 0:
+            raise ValueError("max_nodes must be positive")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.max_route_length is not None and self.max_route_length <= 0:
+        if self.max_route_length is not None and not self.max_route_length > 0:
             raise ValueError("max_route_length must be positive")
 
 
@@ -71,8 +70,9 @@ class SearchBudget:
 class SolveResult:
     value: int
     witness: Optional[Certificate]
-    # "exact" | "lower-bound-only" | "upper-bound-only" | "timeout"; chi is
-    # "upper-bound-only" only in check_conjecture, where a colouring bounds it
+    # "exact" when the witnessed lower end meets the proven upper end, else
+    # "lower-bound-only", or "timeout"; chi is "upper-bound-only" only in
+    # check_conjecture, where a colouring bounds it
     status: str
     nodes_explored: int
 
@@ -81,8 +81,8 @@ class _BudgetExhausted(Exception):
     pass
 
 
-# route enumeration is capped by default on large hosts; such runs can only
-# report lower bounds
+# route enumeration is capped by default on large hosts; a level the cap
+# cuts proves no upper bound
 _DEFAULT_CAP_THRESHOLD = 20
 _DEFAULT_CAP = 9
 
@@ -295,20 +295,16 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
               max_t: Optional[int] = None) -> SolveResult:
     """Maximum t with a totally odd strong K_t immersion, by descending search.
 
-    The upper bound is the eligibility bound, 2 on a bipartite graph, and
-    ``max_t``; the lower bound is the constructed witness of
-    :func:`_constructed_witness`, cut to the upper bound.  When the two
-    meet, that witness is the answer after 0 nodes.  Otherwise levels are
-    searched from the upper bound down to the lower one; a timeout reports
-    the lower bound and its witness.
-
-    Status is "exact" only when every value above the answer was refuted
-    completely: the route length cap never pruned a branch while that value
-    was searched.  A ``max_t`` cutoff below the natural upper bound
-    downgrades a hit at the cutoff to "lower-bound-only".  The constructed
-    witness is a real immersion, so the lower bound itself is never
-    refuted completely: a descent that refutes it has met the route cap,
-    and it is reported with that witness as "lower-bound-only".
+    ``lower`` is the witnessed size: the constructed witness of
+    :func:`_constructed_witness`, or the level the search hits.  ``upper``
+    is the proven bound: the eligibility bound, 2 on a bipartite graph, and
+    t - 1 once level t is refuted without a route cap prune (no K_t means
+    no larger clique either).  ``max_t`` only sets where the descent
+    starts, at ``min(upper, max_t)``.  When the constructed witness reaches
+    that start it is the answer after 0 nodes; otherwise levels are searched
+    from there down to the constructed size, inclusive.  The status is
+    "exact" when ``lower == upper``, else "lower-bound-only", and "timeout"
+    when the budget ran out; a timeout reports the constructed witness.
 
     Edge-budget bound.  Fix a terminal set T of size t with A pairs adjacent
     in G and F = C(t, 2) - A non-adjacent ("far") pairs.  Let
@@ -339,29 +335,26 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         bipartite, odd_cycle = is_bipartite(g)
         if bipartite:
             upper = min(upper, 2)
-    truncated = max_t is not None and max_t < upper
-    if truncated:
-        upper = max_t
-    built = _constructed_witness(clique, odd_cycle, upper)
-    lower = built.clique_size
-    if lower == upper:
-        return SolveResult(lower, _verified(g, built),
-                           "lower-bound-only" if truncated else "exact", 0)
-    search = _ToiSearch(g, budget)
-    refuted_completely = True
-    for t in range(upper, lower - 1, -1):
+    top = upper if max_t is None else min(upper, max_t)
+    built = _constructed_witness(clique, odd_cycle, top)
+    lower, witness, nodes, timed_out = built.clique_size, None, 0, False
+    if lower < top:
+        search = _ToiSearch(g, budget)
         try:
-            cert = search.find(t)
+            for t in range(top, lower - 1, -1):
+                witness = search.find(t)
+                if witness is not None:
+                    lower = t
+                    break
+                # no K_t, so no larger clique either
+                if not search.cap_pruned:
+                    upper = t - 1
         except _BudgetExhausted:
-            return SolveResult(lower, _verified(g, built), "timeout",
-                               search.ticker.nodes)
-        if cert is not None:
-            exact = refuted_completely and not (truncated and t == upper)
-            status = "exact" if exact else "lower-bound-only"
-            return SolveResult(t, cert, status, search.ticker.nodes)
-        refuted_completely = refuted_completely and not search.cap_pruned
-    return SolveResult(lower, _verified(g, built), "lower-bound-only",
-                       search.ticker.nodes)
+            timed_out = True
+        nodes = search.ticker.nodes
+    status = ("timeout" if timed_out
+              else "exact" if lower == upper else "lower-bound-only")
+    return SolveResult(lower, witness or _verified(g, built), status, nodes)
 
 
 def _greedy_clique(g: Graph) -> list:
@@ -530,10 +523,11 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     not bipartite.  Otherwise chi is "upper-bound-only".  Only when level k is
     refuted does :func:`chromatic_number` run, on the nodes and time that
     exact_toi left; exact_toi has then descended to toi itself, exact when
-    every refutation was complete.  The verdict is True when an upper bound
-    on chi is at most the witnessed lower bound on toi, False only when
-    both sides are exact and chi > toi, and None otherwise, at once on a
-    toi timeout.
+    the witnessed lower end meets the proven upper end.  The verdict is
+    True when chi's value, an upper bound on chi, is at most toi's value, a
+    witnessed lower bound on toi; False when both are exact; None
+    otherwise.  A timeout never decides it: a toi timeout leaves
+    toi < k = chi, and a chi timeout leaves chi = k > toi.
 
     Levels are monotone (dropping a terminal keeps a strong immersion), so
     when toi <= k the toi search is a suffix of the full descending one and
@@ -562,10 +556,6 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
         else:
             chi = chromatic_number(
                 g, replace(budget, max_nodes=nodes, time_limit=seconds))
-    satisfied = None
-    if toi.status != "timeout" and chi.status != "timeout":
-        if chi.value <= toi.value:
-            satisfied = True
-        elif chi.status == toi.status == "exact":
-            satisfied = False
+    satisfied = (True if chi.value <= toi.value
+                 else False if chi.status == toi.status == "exact" else None)
     return ConjectureReport(chi, toi, satisfied, colouring)

@@ -107,6 +107,11 @@ def test_budget_validation():
         SearchBudget(time_limit=float("nan"))
     with pytest.raises(ValueError):
         SearchBudget(max_route_length=0)
+    # NaN passes every "<= 0" test, so it would mean no limit at all
+    with pytest.raises(ValueError):
+        SearchBudget(max_nodes=float("nan"))
+    with pytest.raises(ValueError):
+        SearchBudget(max_route_length=float("nan"))
 
 
 def test_tiny_budget_times_out():
@@ -146,6 +151,18 @@ def test_route_length_cap_degrades_status():
     assert res.value == 3  # true value is 4, reachable only via longer routes
     assert res.status == "lower-bound-only"
     assert res.nodes_explored > 0
+
+
+def test_complete_refutation_above_a_capped_level_proves_the_upper_end():
+    # level 4 is refuted with no cap prune, so toi <= 3; level 3 is cut by
+    # the cap, but the constructed odd-cycle K_3 meets that upper end
+    g = Graph(7, frozenset([(0, 1), (0, 3), (0, 6), (1, 2), (1, 5), (2, 4),
+                            (3, 5), (4, 5), (4, 6)]))
+    res = exact_toi(g, SearchBudget(max_route_length=1))
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 74)
+    assert hashlib.sha256(serialize_certificate(res.witness).encode()
+                          ).hexdigest().startswith("903f6cb6b542")
+    assert (exact_toi(g).value, exact_toi(g).status) == (3, "exact")
 
 
 def test_route_cap_refuting_the_lower_bound_returns_its_witness():
