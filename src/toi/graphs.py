@@ -206,8 +206,7 @@ def is_bipartite(g: Graph):
             continue
         color[root] = 0
         queue = [root]
-        while queue:
-            v = queue.pop(0)
+        for v in queue:  # the loop also visits what it appends
             for w in g.adjacency[v]:
                 if color[w] == -1:
                     color[w] = color[v] ^ 1

@@ -120,43 +120,43 @@ class _ToiSearch:
         self.g = g
         self.cap = _effective_cap(g, budget)
         self.ticker = _Ticker(budget)
-        edge_index = {e: idx for idx, e in enumerate(sorted(g.edges))}
         self.adj = g.adjacency
         self.adj_mask = g._adjacency_masks
-        # (neighbour, edge bit) pairs in ascending neighbour order
-        self.nbr_bits = [[(w, 1 << edge_index[(v, w) if v < w else (w, v)])
-                          for w in nbrs] for v, nbrs in enumerate(self.adj)]
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
-    def _routes(self, src: int, dst: int, used: int, terminals: int):
-        """Yield simple odd routes from src to dst, src < dst, avoiding used
-        edges and all terminals (a vertex bit mask) as interior vertices, as
-        (vertex tuple, edge mask).  Depth-first from src, neighbours
-        ascending, with one frame per path vertex: its neighbour iterator,
-        the path so far, the vertices the path may not enter, the edges it
-        may not take and its own edges; each frame is one search node."""
-        nbr_bits, cap, tick = self.nbr_bits, self.cap, self.ticker.tick
+    def _routes(self, src: int, dst: int, free, terminals: int):
+        """Yield simple odd routes from src to dst, src < dst, as vertex
+        tuples, on the edges in ``free`` (``free[v]`` masks v's neighbours
+        across a free edge) and with no vertex of ``terminals`` (a bit mask)
+        in the interior.  Depth-first from src, lowest neighbour bit first,
+        with one frame per path vertex: its untried free neighbours off the
+        path and off the terminals but dst, the path so far and the vertices
+        the path may not enter; each frame is one search node.  A simple
+        route never re-enters a path vertex, so it never retakes one of its
+        own edges: ``free`` is all the edge state it needs."""
+        cap, tick = self.cap, self.ticker.tick
         tick()
-        frames = [(iter(nbr_bits[src]), (src,), terminals & ~(1 << dst), used, 0)]
+        avoid = terminals & ~(1 << dst)
+        frames = [(free[src] & ~avoid, (src,), avoid)]
         while frames:
-            nbrs, path, avoid, taken, mask = frames[-1]
-            for w, bit in nbrs:
-                if taken & bit or avoid >> w & 1:
-                    continue
+            cands, path, avoid = frames.pop()
+            while cands:
+                low = cands & -cands
+                cands ^= low
+                w = low.bit_length() - 1
                 if w == dst:
                     if len(path) % 2:  # the route has len(path) edges
-                        yield path + (w,), mask | bit
+                        yield path + (w,)
                     continue
                 if len(path) >= cap:
                     self.cap_pruned = True
                     continue
                 tick()
-                frames.append((iter(nbr_bits[w]), path + (w,), avoid | 1 << w,
-                               taken | bit, mask | bit))
+                frames.append((cands, path, avoid))
+                avoid |= low
+                frames.append((free[w] & ~avoid, path + (w,), avoid))
                 break
-            else:
-                frames.pop()
 
     def find(self, t: int) -> Optional[Certificate]:
         """First totally odd strong K_t certificate in deterministic order,
@@ -180,9 +180,10 @@ class _ToiSearch:
     def _assign(self, subset, terminals, pairs) -> Optional[list]:
         """Route every pair edge-disjointly; returns the routes in pair
         order, or None when there are none.  Depth-first over the pairs in
-        order, with one frame per pair being routed: its route iterator,
-        ``used`` (the edges of the routes before it) and ``free`` (``free[v]``
-        is the bit mask of v's neighbours across an edge not in ``used``).
+        order, with one frame per pair being routed: its route iterator and
+        ``free``, the search's one edge state, which :meth:`_routes` and the
+        forward check both walk: ``free[v]`` masks v's neighbours across an
+        edge that no earlier route takes.
 
         No terminal can run out of free incident edges here, so none is
         checked: a route is simple and has no terminal in its interior, so
@@ -195,15 +196,15 @@ class _ToiSearch:
         still have an odd walk on free edges with no terminal in its
         interior (:func:`_odd_walks`); if one has none, the branch is cut
         here instead of at that pair's level.  Proof: a strong odd route on
-        edges outside ``used``, simple or a trail, is such a walk, so a pair
-        without one has no route in any completion of ``chosen``.  The walk
+        free edges, simple or a trail, is such a walk, so a pair without one
+        has no route in any completion of ``chosen``.  The walk
         ignores the route cap, so the check only cuts subtrees with no
         solution with or without the cap; the DFS order, the first witness
         and its bytes are unchanged, and ``cap_pruned`` can only be set
         less often, which makes a status no weaker."""
         frames = []
         chosen = []  # the current route of each frame
-        used, free = 0, self.adj_mask
+        free = self.adj_mask
         while len(frames) < len(pairs):
             a, b = pairs[len(frames)]
             # the pairs from (a, b) on are (a, b') for b' >= b, then every
@@ -214,24 +215,22 @@ class _ToiSearch:
                     break
                 cut = -1
             else:
-                frames.append((self._routes(subset[a], subset[b], used, terminals),
-                               used, free))
+                frames.append((self._routes(subset[a], subset[b], free, terminals),
+                               free))
             # move the deepest frame to its next route, dropping the frames
             # whose routes are used up
             while frames:
-                routes, used, free = frames[-1]
+                routes, free = frames[-1]
                 route = next(routes, None)
                 if route is not None:
                     break
                 frames.pop()
             else:
                 return None
-            verts, mask = route
             del chosen[len(frames) - 1:]
-            chosen.append(verts)
-            used |= mask
+            chosen.append(route)
             free = list(free)
-            for u, w in zip(verts, verts[1:]):
+            for u, w in zip(route, route[1:]):
                 free[u] &= ~(1 << w)
                 free[w] &= ~(1 << u)
         return chosen

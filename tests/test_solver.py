@@ -181,7 +181,7 @@ def test_route_length_cap_admits_routes_of_that_length():
     # on C5 the only odd route from 0 to 2 is 0-4-3-2, three edges long
     def routes(cap):
         search = _ToiSearch(cycle_graph(5), SearchBudget(max_route_length=cap))
-        return [verts for verts, _ in search._routes(0, 2, 0, 1 | 1 << 2)]
+        return list(search._routes(0, 2, search.adj_mask, 1 | 1 << 2))
     assert routes(3) == [(0, 4, 3, 2)]
     assert routes(2) == []
 
@@ -306,7 +306,7 @@ def test_search_leaves_no_reference_cycles():
     search = _ToiSearch(k6, SearchBudget())
     direct_k3_k4 = direct_product(complete_graph(3), complete_graph(4))
     calls = [
-        (lambda: list(search._routes(0, 5, 0, 1 | 1 << 5)), 2000),
+        (lambda: list(search._routes(0, 5, search.adj_mask, 1 | 1 << 5)), 2000),
         (lambda: _ToiSearch(k6, SearchBudget()).find(6), 200),
         (lambda: exact_toi(cycle_graph(5)), 200),
         (lambda: exact_toi(direct_k3_k4, SearchBudget(max_nodes=3000)), 20),
@@ -411,6 +411,30 @@ def test_chromatic_node_counts_are_pinned(name):
     g, chi, nodes = CHROMATIC_NODES[name]
     res = chromatic_number(g)
     assert (res.value, res.status, res.nodes_explored) == (chi, "exact", nodes)
+
+
+# sha256 prefix of the exact_toi witness on each solver-exact host that runs
+# exact_toi; with the node counts above, a change to the search's
+# enumeration order shows here even where the count happens to hold
+EXACT_TOI_WITNESS_SHA = {
+    "cart-K3-K3": "d4221e28db66", "direct-K3-K3": "2c6c34a28b93",
+    "cart-K3-K4": "ded2f0786f87", "direct-C5-C5": "ecd58c8174d4",
+    "cart-C5-P3": "35b3f29cb769", "direct-K3-K4": "091e591621af",
+    "strong-K3-K3": "8e75b1053085", "lex-K2-K3": "a27406091769",
+    "mycielski-4": "24ceb1b4d128",
+}
+
+
+@pytest.mark.parametrize("name", CHROMATIC_NODES)
+def test_solver_exact_hosts_are_pinned(name):
+    # each host as the solver-exact benchmark solves it: exact_toi (where
+    # it runs) and then chromatic_number
+    g, _, chi_nodes = CHROMATIC_NODES[name]
+    if name in EXACT_TOI_NODES:
+        res = exact_toi(g)
+        assert res.nodes_explored == EXACT_TOI_NODES[name][2]
+        assert _witness_sha(res).startswith(EXACT_TOI_WITNESS_SHA[name])
+    assert chromatic_number(g).nodes_explored == chi_nodes
 
 
 def _brute_chi(g):
