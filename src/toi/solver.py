@@ -2,9 +2,9 @@
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
 systems, with degree-eligibility, bipartiteness, edge-budget and
-forward-check pruning.  The chromatic number is found by DSATUR-ordered
-backtracking for k-colourings between a clique lower bound and a DSATUR
-upper bound.
+forward-check pruning and a table of refuted search states.  The chromatic
+number is found by DSATUR-ordered backtracking for k-colourings between a
+clique lower bound and a DSATUR upper bound.
 This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
@@ -28,11 +28,12 @@ upper end starts at the eligibility bound (2 on a bipartite graph) and
 drops to t - 1 when :meth:`_ToiSearch.find` refutes level t with
 ``cap_pruned`` False.  Terminal sets skipped by the edge-budget bound
 (proved in :func:`exact_toi`) have no route system at all, and branches
-cut by the forward check (proved in :meth:`_ToiSearch._assign`) have no
-completion, so neither weakens a refutation; the route length cap does
-where it cut a branch.  A single level is asked through
-``exact_toi(g, budget, max_t=t)``: ``value == t`` means K_t is present,
-``value < t`` with status "exact" means it is definitely absent.
+cut by the forward check or skipped as refuted states (both proved in
+:meth:`_ToiSearch._assign`) have no completion, so none weakens a
+refutation; the route length cap does where it cut a branch.  A single
+level is asked through ``exact_toi(g, budget, max_t=t)``: ``value == t``
+means K_t is present, ``value < t`` with status "exact" means it is
+definitely absent.
 """
 
 from __future__ import annotations
@@ -85,6 +86,9 @@ class _BudgetExhausted(Exception):
 # cuts proves no upper bound
 _DEFAULT_CAP_THRESHOLD = 20
 _DEFAULT_CAP = 9
+# entries of _ToiSearch._assign's refuted-state table; inserts stop when it
+# is full, which bounds its memory and keeps node counts deterministic
+_REFUTED_CAP = 1 << 16
 
 
 def _effective_cap(g: Graph, budget: SearchBudget) -> int:
@@ -201,22 +205,37 @@ class _ToiSearch:
         ignores the route cap, so the check only cuts subtrees with no
         solution with or without the cap; the DFS order, the first witness
         and its bytes are unchanged, and ``cap_pruned`` can only be set
-        less often, which makes a status no weaker."""
+        less often, which makes a status no weaker.
+
+        Refuted states.  A frame whose routes are used up, or that the
+        forward check cut, leaves its ``free`` in ``refuted``; a state found
+        there is dropped at once, as if cut.  ``free`` alone fixes the pair
+        index: by the count above, the terminals have spent two edges per
+        routed pair between them.  Proof: below a frame, :meth:`_routes`,
+        :func:`_odd_walks` and the route cap read only ``free``, the fixed
+        terminals and the fixed pair order, so a revisit would repeat the
+        same subtree, which holds no completion and sets ``cap_pruned``
+        only if the first visit already did.  Only the node count falls.
+        Inserts stop at ``_REFUTED_CAP`` entries."""
         frames = []
         chosen = []  # the current route of each frame
         free = self.adj_mask
+        refuted = set()  # the free of each used-up frame
         while len(frames) < len(pairs):
             a, b = pairs[len(frames)]
-            # the pairs from (a, b) on are (a, b') for b' >= b, then every
-            # pair of a later row
-            cut = -(1 << subset[b])
-            for s in subset[a:-1]:
-                if not _odd_walks(s, terminals & -(2 << s) & cut, free, terminals):
-                    break
-                cut = -1
-            else:
-                frames.append((self._routes(subset[a], subset[b], free, terminals),
-                               free))
+            routes = iter(())  # a refuted or cut state has none
+            if free not in refuted:
+                # the pairs from (a, b) on are (a, b') for b' >= b, then
+                # every pair of a later row
+                cut = -(1 << subset[b])
+                for s in subset[a:-1]:
+                    if not _odd_walks(s, terminals & -(2 << s) & cut, free,
+                                      terminals):
+                        break
+                    cut = -1
+                else:
+                    routes = self._routes(subset[a], subset[b], free, terminals)
+            frames.append((routes, free))
             # move the deepest frame to its next route, dropping the frames
             # whose routes are used up
             while frames:
@@ -225,6 +244,8 @@ class _ToiSearch:
                 if route is not None:
                     break
                 frames.pop()
+                if len(refuted) < _REFUTED_CAP:
+                    refuted.add(free)
             else:
                 return None
             del chosen[len(frames) - 1:]
@@ -233,6 +254,7 @@ class _ToiSearch:
             for u, w in zip(route, route[1:]):
                 free[u] &= ~(1 << w)
                 free[w] &= ~(1 << u)
+            free = tuple(free)
         return chosen
 
     def _edge_budget_refutes(self, subset) -> bool:

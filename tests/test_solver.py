@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import sys
 import types
 
 import pytest
@@ -269,6 +270,78 @@ def test_forward_check_changes_no_answer(monkeypatch):
                                    lambda src, need, free, terminals: True)
 
 
+def test_refuted_state_table_changes_no_answer(monkeypatch):
+    # the table only skips states whose subtree was already exhausted
+    _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_REFUTED_CAP", 0)
+
+
+def _table_hosts():
+    """Hosts on which the refuted-state table skips states, as it does on
+    none of the differential graphs: two solver-exact products and seeded
+    10- and 11-vertex graphs."""
+    yield direct_product(complete_graph(3), complete_graph(4))
+    yield cartesian_product(cycle_graph(5), path_graph(3))
+    rng = random.Random(20)
+    for n in (10, 11):
+        for _ in range(40):
+            density = rng.uniform(0.4, 0.8)
+            yield Graph(n, frozenset(e for e in itertools.combinations(range(n), 2)
+                                     if rng.random() < density))
+
+
+def test_refuted_state_table_keeps_capped_answers(monkeypatch):
+    # a revisited state would set cap_pruned only if its first visit did,
+    # so under a route cap the status is equal too, not merely no weaker
+    graphs = list(itertools.chain(_differential_graphs(), _table_hosts()))
+    budgets = [SearchBudget(max_route_length=cap) for cap in (None, 1, 3)]
+    with_table = [[exact_toi(g, b) for b in budgets] for g in graphs]
+    monkeypatch.setattr(toi.solver, "_REFUTED_CAP", 0)
+    skipped = [0] * len(budgets)
+    for g, results in zip(graphs, with_table):
+        for i, (budget, fast) in enumerate(zip(budgets, results)):
+            slow = exact_toi(g, budget)
+            assert (fast.value, fast.status) == (slow.value, slow.status)
+            assert serialize_certificate(fast.witness) == \
+                serialize_certificate(slow.witness)
+            assert fast.nodes_explored <= slow.nodes_explored
+            skipped[i] += fast.nodes_explored < slow.nodes_explored
+    # the table acted, so the test compares something; under cap 1 every
+    # pair has one route or none, so no state is ever reached twice
+    assert skipped[0] and skipped[2] and not skipped[1], skipped
+
+
+def test_refuted_state_table_cap(monkeypatch):
+    # a full table stops taking entries: the answer holds, and the node
+    # count lies between the full-table and the no-table count (the full
+    # table takes under 2,000 entries on this host)
+    host = direct_product(cycle_graph(5), cycle_graph(5))
+    tables = {}
+    routes = _ToiSearch._routes
+
+    def watched(self, *args):
+        # the table of the calling _assign, one per terminal set
+        table = sys._getframe(1).f_locals["refuted"]
+        tables[id(table)] = table
+        return routes(self, *args)
+
+    monkeypatch.setattr(_ToiSearch, "_routes", watched)
+    counts = {}
+    for cap in (0, 512, toi.solver._REFUTED_CAP):
+        monkeypatch.setattr(toi.solver, "_REFUTED_CAP", cap)
+        tables.clear()
+        res = exact_toi(host)
+        assert (res.value, res.status) == (5, "exact")
+        assert _witness_sha(res).startswith("ecd58c8174d4")
+        for table in tables.values():
+            assert len(table) <= cap
+            for free in table:
+                assert type(free) is tuple
+                assert all(type(mask) is int for mask in free)
+        counts[cap] = res.nodes_explored
+    assert counts[0] == 20947
+    assert counts[toi.solver._REFUTED_CAP] < counts[512] < counts[0]
+
+
 def test_capped_exact_status_is_sound():
     # a short route cap may hide the answer; "exact" must then not be
     # claimed, not even for a single level asked through max_t, and the cap
@@ -371,11 +444,11 @@ EXACT_TOI_NODES = {
     "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
                      4, 949),
     "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
-                   6, 3796),
-    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 20947),
+                   6, 3651),
+    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 17278),
     "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 826),
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
-                     6, 5521),
+                     6, 4565),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
                      9, 0),
     "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
