@@ -354,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="compute toi exactly by search")
     p.add_argument("graph")
     p.add_argument("--max-t", type=int, help="stop the search at this size")
-    p.add_argument("--time-limit", type=float, help="seconds")
+    p.add_argument("--time-limit", type=float, help="CPU seconds")
     p.add_argument("--nodes", type=int, help="search node budget")
     p.add_argument("--witness", help="write the witness certificate here")
     p.set_defaults(func=_cmd_solve)
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="check chi(G) <= toi(G) from a colouring and a "
                             "K_k witness")
     p.add_argument("graph")
-    p.add_argument("--time-limit", type=float, help="seconds")
+    p.add_argument("--time-limit", type=float, help="CPU seconds")
     p.add_argument("--nodes", type=int, help="search node budget")
     p.add_argument("--witness", help="write the toi witness certificate here")
     p.set_defaults(func=_cmd_check_conjecture)

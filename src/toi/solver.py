@@ -1,7 +1,7 @@
 """Exact small-instance computation of toi(G) and the chromatic number.
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
-systems, with degree-eligibility, bipartiteness, edge-budget and
+systems, with degree-eligibility, bipartiteness, edge-budget, symmetry and
 forward-check pruning and a table of refuted search states.  The chromatic
 number is found by DSATUR-ordered backtracking for k-colourings between a
 clique lower bound and a DSATUR upper bound.
@@ -27,13 +27,14 @@ proven upper end.  The lower end is the largest verified witness.  The
 upper end starts at the eligibility bound (2 on a bipartite graph) and
 drops to t - 1 when :meth:`_ToiSearch.find` refutes level t with
 ``cap_pruned`` False.  Terminal sets skipped by the edge-budget bound
-(proved in :func:`exact_toi`) have no route system at all, and branches
-cut by the forward check or skipped as refuted states (both proved in
-:meth:`_ToiSearch._assign`) have no completion, so none weakens a
-refutation; the route length cap does where it cut a branch.  A single
-level is asked through ``exact_toi(g, budget, max_t=t)``: ``value == t``
-means K_t is present, ``value < t`` with status "exact" means it is
-definitely absent.
+(proved in :func:`exact_toi`) or, on such a level, mapped to an earlier
+set by a product automorphism (proved in :meth:`_ToiSearch.find`) have
+no route system at all, and branches cut by the forward check or
+skipped as refuted states (both proved in :meth:`_ToiSearch._assign`) have
+no completion, so none weakens a refutation; the route length cap does
+where it cut a branch.  A single level is asked through
+``exact_toi(g, budget, max_t=t)``: ``value == t`` means K_t is present,
+``value < t`` with status "exact" means it is definitely absent.
 """
 
 from __future__ import annotations
@@ -106,7 +107,7 @@ class _Ticker:
     def __init__(self, budget: SearchBudget):
         self.max_nodes = budget.max_nodes
         self.nodes = 0
-        self.deadline = (time.monotonic() + budget.time_limit
+        self.deadline = (time.process_time() + budget.time_limit
                          if budget.time_limit is not None else None)
 
     def tick(self):
@@ -115,7 +116,7 @@ class _Ticker:
             raise _BudgetExhausted
         self.nodes += 1
         if self.deadline is not None and self.nodes % 256 == 0:
-            if time.monotonic() > self.deadline:
+            if time.process_time() > self.deadline:
                 raise _BudgetExhausted
 
 
@@ -126,6 +127,7 @@ class _ToiSearch:
         self.ticker = _Ticker(budget)
         self.adj = g.adjacency
         self.adj_mask = g._adjacency_masks
+        self.automorphisms = _product_automorphisms(g)
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
@@ -165,16 +167,34 @@ class _ToiSearch:
     def find(self, t: int) -> Optional[Certificate]:
         """First totally odd strong K_t certificate in deterministic order,
         or None after exhausting the space.  Raises on budget exhaustion.
-        ``cap_pruned`` tells afterwards whether the route cap cut a branch."""
+        ``cap_pruned`` tells afterwards whether the route cap cut a branch.
+
+        Symmetry.  A terminal set T is skipped when one of
+        ``self.automorphisms`` maps it to a set earlier in the walk (sorted
+        positions in ``order``, compared lexicographically).  Proof: the walk
+        stops at its first hit, so every earlier set was refuted: searched,
+        skipped by the edge-budget bound or, by induction, by this rule.
+        Automorphisms keep route lengths, so the cap acts on T as on its
+        image: if that was searched with a cap prune, ``cap_pruned`` is set;
+        if the level ends with it unset, the image, and so T, has no route
+        system.  The first hit is never skipped, as its image would be an
+        earlier hit: witness bytes stay, and a status only gets stronger."""
         g = self.g
         self.cap_pruned = False
         order = [v for v in g._degree_order if len(self.adj[v]) >= t - 1]
         pairs = list(itertools.combinations(range(t), 2))
+        # q[v]: where in order an automorphism (it keeps degrees) puts v
+        rank = {v: i for i, v in enumerate(order)}
+        images = [{v: rank[p[v]] for v in order} for p in self.automorphisms]
         for combo in itertools.combinations(order, t):
             self.ticker.tick()
             subset = tuple(sorted(combo))
             if self._edge_budget_refutes(subset):
                 continue
+            if images:
+                at = [rank[v] for v in combo]
+                if any(sorted(map(q.__getitem__, combo)) < at for q in images):
+                    continue
             chosen = self._assign(subset, sum(1 << v for v in subset), pairs)
             if chosen is not None:
                 return _verified(g, Certificate(
@@ -272,6 +292,31 @@ class _ToiSearch:
         terminal_other = degree_sum - twice_adjacent
         other_other = self.g.m - twice_adjacent // 2 - terminal_other
         return 2 * far > terminal_other or far > other_other
+
+
+def _factor_maps(k: int) -> list:
+    """Permutations of range(k): the adjacent transpositions, and for
+    k >= 3 the rotation i -> i + 1 and the reflection i -> -i mod k."""
+    ids = list(range(k))
+    maps = [ids[:i] + [i + 1, i] + ids[i + 2:] for i in range(k - 1)]
+    return maps + ([ids[1:] + [0], [-i % k for i in ids]] if k >= 3 else [])
+
+
+def _product_automorphisms(g: Graph) -> tuple:
+    """The vertex maps p that act on one factor coordinate of a labelled
+    host by :func:`_factor_maps`, or transpose a square grid, and keep
+    N(p(v)) = p(N(v)) at every moved v, which makes p an automorphism: an
+    edge with a moved end is seen from it.  An unlabelled host has none."""
+    if not g.labels:
+        return ()
+    ng, nh = (x + 1 for x in g.labels[-1])
+    grid = [(a, c) for a in range(ng) for c in range(nh)]
+    candidates = [[p[a] * nh + c for a, c in grid] for p in _factor_maps(ng)]
+    candidates += [[a * nh + p[c] for a, c in grid] for p in _factor_maps(nh)]
+    candidates += [[c * nh + a for a, c in grid]] if ng == nh else []
+    return tuple(p for p in candidates if all(
+        tuple(sorted(map(p.__getitem__, g.adjacency[v]))) == g.adjacency[p[v]]
+        for v in range(g.n) if p[v] != v))
 
 
 def _verified(g: Graph, cert: Certificate) -> Certificate:
@@ -556,7 +601,7 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     toi > k the full search stops at a level above k and never searches
     level k itself, which can cost more."""
     budget = budget or SearchBudget()
-    start = time.monotonic()
+    start = time.process_time() if budget.time_limit is not None else None
     colouring, k = _dsatur(g)
     if (any(colouring[u] == colouring[v] for u, v in g.edges)
             or not all(0 <= c < k for c in colouring)):
@@ -571,7 +616,7 @@ def check_conjecture(g: Graph, budget: Optional[SearchBudget] = None) -> Conject
     elif toi.status != "timeout":
         nodes = budget.max_nodes - toi.nodes_explored
         seconds = (None if budget.time_limit is None
-                   else budget.time_limit - (time.monotonic() - start))
+                   else budget.time_limit - (time.process_time() - start))
         if nodes <= 0 or (seconds is not None and seconds <= 0):
             chi = SolveResult(k, None, "timeout", 0)
         else:

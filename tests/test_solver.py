@@ -30,6 +30,8 @@ from toi.solver import (
     _k_colorable,
     _Ticker,
     _constructed_witness,
+    _factor_maps,
+    _product_automorphisms,
     _ToiSearch,
     check_conjecture,
     chromatic_number,
@@ -342,6 +344,128 @@ def test_refuted_state_table_cap(monkeypatch):
     assert counts[toi.solver._REFUTED_CAP] < counts[512] < counts[0]
 
 
+def _is_automorphism(g, p):
+    return {(min(p[u], p[v]), max(p[u], p[v])) for u, v in g.edges} == g.edges
+
+
+def _grid_candidates(ng, nh):
+    """Every map the symmetry rule tries on an ng x nh grid, in its order."""
+    grid = [(a, c) for a in range(ng) for c in range(nh)]
+    maps = [[p[a] * nh + c for a, c in grid] for p in _factor_maps(ng)]
+    maps += [[a * nh + p[c] for a, c in grid] for p in _factor_maps(nh)]
+    return maps + ([[c * nh + a for a, c in grid]] if ng == nh else [])
+
+
+def test_product_automorphisms_drop_non_automorphisms():
+    # P3 has no rotation, reflection i -> -i or adjacent transposition among
+    # its automorphisms, and C5 no adjacent transposition, so only the
+    # K3 maps and the C5 rotation and reflection are kept
+    g = cartesian_product(complete_graph(3), path_graph(3))
+    assert _product_automorphisms(g) == tuple(_grid_candidates(3, 3)[:4])
+    g = cartesian_product(complete_graph(3), cycle_graph(5))
+    kept, maps = _product_automorphisms(g), _grid_candidates(3, 5)
+    assert kept == tuple(maps[:4] + maps[-2:])
+    column_swap = [a * 5 + [1, 0, 2, 3, 4][c]
+                   for a in range(3) for c in range(5)]
+    assert column_swap == maps[4]
+    assert column_swap not in kept and not _is_automorphism(g, column_swap)
+
+
+def test_unlabelled_graph_has_no_automorphisms():
+    g = cartesian_product(complete_graph(3), complete_graph(3))
+    assert _product_automorphisms(g)
+    assert _product_automorphisms(Graph(g.n, g.edges)) == ()
+    assert _product_automorphisms(complete_graph(4)) == ()
+
+
+def test_product_automorphisms_on_non_product_edges():
+    # grid labels over edges that are no product, or a product with an edge
+    # removed: a map is kept exactly when it maps every edge to an edge
+    rng = random.Random(21)
+    factors = [complete_graph(2), path_graph(3), complete_graph(3),
+               cycle_graph(4), cycle_graph(5)]
+    products = [cartesian_product, direct_product, strong_product,
+                lexicographic_product]
+    kept = dropped = 0
+    for _ in range(60):
+        g = rng.choice(products)(rng.choice(factors), rng.choice(factors))
+        edges = sorted(g.edges)
+        if rng.random() < 0.5:
+            edges.remove(rng.choice(edges))
+        else:
+            edges = [e for e in itertools.combinations(range(g.n), 2)
+                     if rng.random() < 0.5]
+        host = Graph(g.n, frozenset(edges), g.labels)
+        nh = g.labels[-1][1] + 1
+        maps = _grid_candidates(g.n // nh, nh)
+        truth = tuple(p for p in maps if _is_automorphism(host, p))
+        assert _product_automorphisms(host) == truth
+        kept += len(truth)
+        dropped += len(maps) - len(truth)
+    assert kept and dropped
+
+
+def test_product_automorphism_candidates_are_few():
+    # every vertex map is an automorphism of a complete graph, so a labelled
+    # one keeps every candidate: at most ng + nh + 3, each a permutation
+    for ng, nh in itertools.product(range(1, 9), repeat=2):
+        n = ng * nh
+        maps = _product_automorphisms(Graph(n, complete_graph(n).edges, tuple(
+            divmod(v, nh) for v in range(n))))
+        assert list(maps) == _grid_candidates(ng, nh)
+        assert len(maps) <= ng + nh + 3
+        assert all(sorted(p) == list(range(ng * nh)) for p in maps)
+    g = cartesian_product(complete_graph(4), complete_graph(4))
+    assert len(_product_automorphisms(g)) == 4 + 4 + 3
+
+
+def _small_products():
+    """Labelled products of small factors, n <= 12, under all four
+    products."""
+    factors = [complete_graph(2), path_graph(3), complete_graph(3),
+               path_graph(4), cycle_graph(4), cycle_graph(5)]
+    for op in (cartesian_product, direct_product, strong_product,
+               lexicographic_product):
+        for g, h in itertools.product(factors, repeat=2):
+            if g.n * h.n <= 12:
+                yield op(g, h)
+
+
+def test_symmetry_rule_changes_no_answer(monkeypatch):
+    # a terminal set is skipped only when an automorphism maps it to an
+    # earlier, refuted one; the edge-budget bound still sees every set.
+    # The node budget keeps lex-C4-P3 (a timeout at 2,000,000 nodes) cheap;
+    # the same 6 runs time out with and without the rule
+    checked = [0]
+    refutes = _ToiSearch._edge_budget_refutes
+
+    def counted(self, subset):
+        checked[0] += 1
+        return refutes(self, subset)
+
+    monkeypatch.setattr(_ToiSearch, "_edge_budget_refutes", counted)
+    budgets = [SearchBudget(max_nodes=20_000, max_route_length=cap)
+               for cap in (None, 1, 3)]
+    runs = []
+    for g in _small_products():
+        for budget in budgets:
+            checked[0] = 0
+            runs.append((g, budget, exact_toi(g, budget), checked[0]))
+    monkeypatch.setattr(toi.solver, "_product_automorphisms", lambda g: ())
+    skipped = 0
+    for g, budget, fast, fast_checked in runs:
+        checked[0] = 0
+        slow = exact_toi(g, budget)
+        assert (fast.value, fast.status) == (slow.value, slow.status)
+        assert serialize_certificate(fast.witness) == \
+            serialize_certificate(slow.witness)
+        assert fast.nodes_explored <= slow.nodes_explored
+        if slow.status != "timeout":
+            assert fast_checked == checked[0]
+        skipped += fast.nodes_explored < slow.nodes_explored
+    assert skipped
+
+
 def test_capped_exact_status_is_sound():
     # a short route cap may hide the answer; "exact" must then not be
     # claimed, not even for a single level asked through max_t, and the cap
@@ -440,13 +564,13 @@ def mycielski(k):
 # deterministic, and a change to the search order or a bound shows here first
 EXACT_TOI_NODES = {
     "cart-K3-K3": (cartesian_product(complete_graph(3), complete_graph(3)),
-                   4, 1761),
+                   4, 228),
     "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
-                     4, 949),
+                     4, 229),
     "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
-                   6, 3651),
+                   6, 1049),
     "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 17278),
-    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 826),
+    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 480),
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
                      6, 4565),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
@@ -647,7 +771,7 @@ def test_check_conjecture_shares_one_time_limit(monkeypatch):
     # left, and not at all once exact_toi has spent the whole limit
     clock = [100.0]
     monkeypatch.setattr(toi.solver, "time",
-                        types.SimpleNamespace(monotonic=lambda: clock[0]))
+                        types.SimpleNamespace(process_time=lambda: clock[0]))
     spent, limits = [0.0], []
 
     def timed_toi(g, budget, max_t):
