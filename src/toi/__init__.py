@@ -18,7 +18,6 @@ from .certificates import (
 )
 from .constructions import (
     FactorImmersion,
-    build_m_pair,
     cartesian_32,
     cartesian_33,
     cartesian_large,
@@ -33,7 +32,6 @@ from .graphs import (
     complete_graph,
     cycle_graph,
     direct_product,
-    find_p3_center,
     is_bipartite,
     lexicographic_product,
     path_graph,
@@ -62,7 +60,6 @@ __all__ = [
     "SearchBudget",
     "SolveResult",
     "VerificationReport",
-    "build_m_pair",
     "cartesian_32",
     "cartesian_33",
     "cartesian_large",
@@ -76,7 +73,6 @@ __all__ = [
     "direct_lift",
     "direct_product",
     "exact_toi",
-    "find_p3_center",
     "identity_certificate",
     "is_bipartite",
     "lexicographic_product",

@@ -122,7 +122,7 @@ def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
         cert = _read_cert(cert_path)
         try:
             return FactorImmersion(g, cert)
-        except (ValueError, MalformedCertificateError) as exc:
+        except ValueError as exc:
             raise _UsageError(f"factor certificate {cert_path}: {exc}")
     if not g.is_complete():
         raise _UsageError(

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 from .certificates import (Certificate, Route, concatenate_routes,
                            identity_certificate, verify)
-from .graphs import (Graph, complete_graph, direct_product, find_p3_center,
-                     is_bipartite)
+from .graphs import Graph, complete_graph, direct_product, is_bipartite
 
 
 @dataclass(frozen=True)
@@ -75,23 +74,6 @@ def _walk(p, q, n_h) -> Route:
     return Route(tuple(at(p, i) * n_h + at(q, i)
                        for i in range(max(len(p), len(q)) - 1))
                  + (p[-1] * n_h + q[-1],))
-
-
-def build_m_pair(p, q, n_h) -> tuple:
-    """Build the two odd, vertex-disjoint connector routes in a direct product.
-
-    ``p`` is an odd route ``u - a_1 - ... - a_k - u'`` in the first factor and
-    ``q`` an odd route ``v - b_1 - ... - b_l - v'`` in the second.  Returns
-    routes joining ``(u,v)`` to ``(u',v')`` and ``(u,v')`` to ``(u',v)`` in
-    the direct product, with product vertices encoded row-major by ``n_h``.
-    Both routes walk ``p`` and ``q`` side by side, the second with ``q``
-    reversed; the shorter factor route alternates its last two vertices
-    while the longer finishes.
-    """
-    p, q = tuple(p), tuple(q)
-    if len(p) % 2 or len(q) % 2:
-        raise ValueError("both factor routes must have odd edge count")
-    return _walk(p, q, n_h), _walk(p, q[::-1], n_h)
 
 
 def _m_route(fg: FactorImmersion, fh: FactorImmersion, a, b) -> Route:
@@ -348,12 +330,12 @@ def cartesian_32(g: Graph, h: Graph) -> Certificate:
     bip, cycle = is_bipartite(g)
     if bip:
         raise ValueError("requires a non-bipartite first factor (no odd cycle found)")
-    star = find_p3_center(h)
-    if star is None:
+    # the lowest vertex of degree >= 2 and its two lowest neighbours
+    v2 = next((v for v in range(h.n) if h.degree(v) >= 2), None)
+    if v2 is None:
         raise ValueError("requires a second factor with a vertex of degree >= 2")
+    v1, v3 = h.adjacency[v2][:2]
     c = _canonical_cycle(cycle)
-    center, nb1, nb2 = star
-    v1, v2, v3 = nb1, center, nb2
     n_h = h.n
 
     def enc(ci, hv):

@@ -31,7 +31,6 @@ class Graph:
     n: int
     edges: frozenset
     labels: Optional[tuple] = None
-    name: str = ""
 
     def __post_init__(self):
         if self.n < 0:
@@ -54,11 +53,11 @@ class Graph:
                                  f"vertices in rows of {n_h}")
 
     @classmethod
-    def _trusted(cls, n: int, edges: frozenset, labels=None, name: str = ""):
-        """``Graph(n, edges, labels, name)`` without the per-edge walk, for
-        the text reader and the products, whose edges are canonical and in
-        range by construction; n and the labels are still checked."""
-        g = cls(n, frozenset(), labels, name)
+    def _trusted(cls, n: int, edges: frozenset, labels=None):
+        """``Graph(n, edges, labels)`` without the per-edge walk, for the
+        text reader and the products, whose edges are canonical and in range
+        by construction; n and the labels are still checked."""
+        g = cls(n, frozenset(), labels)
         object.__setattr__(g, "edges", edges)
         return g
 
@@ -100,27 +99,26 @@ class Graph:
         return self.m == self.n * (self.n - 1) // 2
 
 
-def _make(n: int, edge_iter: Iterable, name: str = "", labels=None) -> Graph:
-    edges = frozenset((min(u, v), max(u, v)) for u, v in edge_iter)
-    return Graph(n=n, edges=edges, labels=labels, name=name)
+def _make(n: int, edge_iter: Iterable) -> Graph:
+    return Graph(n, frozenset((min(u, v), max(u, v)) for u, v in edge_iter))
 
 
 def complete_graph(t: int) -> Graph:
     if t < 1:
         raise ValueError("complete graph needs at least one vertex")
-    return _make(t, itertools.combinations(range(t), 2), name=f"K{t}")
+    return _make(t, itertools.combinations(range(t), 2))
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
-    return _make(n, (((i, (i + 1) % n)) for i in range(n)), name=f"C{n}")
+    return _make(n, (((i, (i + 1) % n)) for i in range(n)))
 
 
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError("path needs at least one vertex")
-    return _make(n, ((i, i + 1) for i in range(n - 1)), name=f"P{n}")
+    return _make(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def _product_labels(ng: int, nh: int) -> tuple:
@@ -150,8 +148,7 @@ def cartesian_product(g: Graph, h: Graph) -> Graph:
         edges.extend([(row[c], row[d]) for c, d in h.edges])
     for c in range(h.n):
         edges.extend([(rows[a][c], rows[b][c]) for a, b in g.edges])
-    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n),
-                          f"{g.name}[]{h.name}")
+    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n))
 
 
 def direct_product(g: Graph, h: Graph) -> Graph:
@@ -165,8 +162,7 @@ def direct_product(g: Graph, h: Graph) -> Graph:
         for c, d in h.edges:
             append((ra[c], rb[d]))
             append((ra[d], rb[c]))
-    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n),
-                          f"{g.name}x{h.name}")
+    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n))
 
 
 def lexicographic_product(g: Graph, h: Graph) -> Graph:
@@ -178,8 +174,7 @@ def lexicographic_product(g: Graph, h: Graph) -> Graph:
         edges.extend(itertools.product(rows[a], rows[b]))
     for row in rows:
         edges.extend([(row[c], row[d]) for c, d in h.edges])
-    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n),
-                          f"{g.name}o{h.name}")
+    return Graph._trusted(g.n * h.n, frozenset(edges), _product_labels(g.n, h.n))
 
 
 def strong_product(g: Graph, h: Graph) -> Graph:
@@ -188,7 +183,7 @@ def strong_product(g: Graph, h: Graph) -> Graph:
     cart = cartesian_product(g, h)
     direct = direct_product(g, h)
     return Graph._trusted(g.n * h.n, cart.edges | direct.edges,
-                          _product_labels(g.n, h.n), f"{g.name}*{h.name}")
+                          _product_labels(g.n, h.n))
 
 
 def is_bipartite(g: Graph):
@@ -226,15 +221,6 @@ def is_bipartite(g: Graph):
             cycle = pu + pv[-2::-1]
             return False, cycle
     return True, None
-
-
-def find_p3_center(h: Graph):
-    """Return ``(center, nb1, nb2)`` for the lowest vertex of degree >= 2, or None."""
-    for v in range(h.n):
-        nbrs = h.adjacency[v]
-        if len(nbrs) >= 2:
-            return v, nbrs[0], nbrs[1]
-    return None
 
 
 def write_graph_text(g: Graph) -> str:

@@ -50,7 +50,9 @@ from .graphs import Graph, is_bipartite
 
 @dataclass
 class SearchBudget:
-    """Resource limits for one solver call.  ``max_route_length`` caps the
+    """Resource limits for one solver call.  ``time_limit`` is in process
+    CPU seconds, whose pace varies with load; only ``max_nodes`` stops a
+    search at the same point on every run.  ``max_route_length`` caps the
     routes the search enumerates only: a constructed witness (see
     :func:`_constructed_witness`) is verified but may have longer routes."""
 
@@ -296,10 +298,11 @@ class _ToiSearch:
 
 def _factor_maps(k: int) -> list:
     """Permutations of range(k): the adjacent transpositions, and for
-    k >= 3 the rotation i -> i + 1 and the reflection i -> -i mod k."""
+    k >= 3 the rotation i -> i + 1 and the reversal i -> k - 1 - i, which
+    is an automorphism of P_k, C_k and K_k alike."""
     ids = list(range(k))
     maps = [ids[:i] + [i + 1, i] + ids[i + 2:] for i in range(k - 1)]
-    return maps + ([ids[1:] + [0], [-i % k for i in ids]] if k >= 3 else [])
+    return maps + ([ids[1:] + [0], ids[::-1]] if k >= 3 else [])
 
 
 def _product_automorphisms(g: Graph) -> tuple:
@@ -369,8 +372,8 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
     starts, at ``min(upper, max_t)``.  When the constructed witness reaches
     that start it is the answer after 0 nodes; otherwise levels are searched
     from there down to the constructed size, inclusive.  The status is
-    "exact" when ``lower == upper``, else "lower-bound-only", and "timeout"
-    when the budget ran out; a timeout reports the constructed witness.
+    "exact" when ``lower == upper``, budget spent or not; else "timeout" if
+    the budget ran out, with the constructed witness, else "lower-bound-only".
 
     Edge-budget bound.  Fix a terminal set T of size t with A pairs adjacent
     in G and F = C(t, 2) - A non-adjacent ("far") pairs.  Let
@@ -418,8 +421,8 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
         except _BudgetExhausted:
             timed_out = True
         nodes = search.ticker.nodes
-    status = ("timeout" if timed_out
-              else "exact" if lower == upper else "lower-bound-only")
+    status = ("exact" if lower == upper
+              else "timeout" if timed_out else "lower-bound-only")
     return SolveResult(lower, witness or _verified(g, built), status, nodes)
 
 

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "SearchBudget",
     "SolveResult",
     "VerificationReport",
-    "build_m_pair",
     "cartesian_32",
     "cartesian_33",
     "cartesian_large",
@@ -29,7 +28,6 @@ PUBLIC_NAMES = [
     "direct_lift",
     "direct_product",
     "exact_toi",
-    "find_p3_center",
     "identity_certificate",
     "is_bipartite",
     "lexicographic_product",
@@ -45,7 +43,7 @@ PUBLIC_NAMES = [
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 37
+    assert len(PUBLIC_NAMES) == 35
     assert sorted(toi.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(toi, name) is not None, name

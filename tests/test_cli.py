@@ -45,6 +45,10 @@ def files(tmp_path):
         # lower bound is 3, so solve and check-conjecture search level 4
         "w5": write("w5.graph", Graph(6, cycle_graph(5).edges
                                       | {(i, 5) for i in range(5)})),
+        # level 5 is refuted in one node and the constructed K_4 stands
+        "g7": write("g7.graph", Graph(7, frozenset([
+            (0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3),
+            (2, 5), (2, 6), (3, 4), (3, 5), (4, 5), (4, 6)]))),
         "dir": tmp_path,
     }
 
@@ -308,6 +312,14 @@ def test_solve_timeout_exit_code(capsys, files):
                           "--nodes", "2")
     assert code == 1
     assert json.loads(stdout)["status"] == "timeout"
+
+
+def test_solve_proved_before_the_budget_ran_out_exits_0(capsys, files):
+    code, stdout, _ = run(capsys, "--json", "solve", files["g7"],
+                          "--nodes", "1")
+    assert code == 0
+    rep = json.loads(stdout)
+    assert (rep["value"], rep["status"]) == (4, "exact")
 
 
 def test_solve_rejects_nonpositive_max_t(capsys, files):

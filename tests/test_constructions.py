@@ -12,7 +12,7 @@ from toi.certificates import Certificate, Route, serialize_certificate, verify
 from toi.constructions import (
     FactorImmersion,
     _m_route,
-    build_m_pair,
+    _walk,
     cartesian_32,
     cartesian_33,
     cartesian_large,
@@ -46,6 +46,13 @@ def _even_path(seed, length, bound):
     return tuple(verts)
 
 
+def _m_pair(p, q, n_h):
+    """The two connector routes of odd factor routes p and q in a direct
+    product: ``(p[0], q[0])`` to ``(p[-1], q[-1])``, and ``(p[0], q[-1])``
+    to ``(p[-1], q[0])`` with q walked in reverse."""
+    return _walk(p, q, n_h), _walk(p, q[::-1], n_h)
+
+
 # interior vertex counts; routes have k+1 and l+1 edges, both odd
 interior_counts = st.sampled_from([0, 2, 4, 6])
 
@@ -57,7 +64,7 @@ def test_m_pair_properties(seed_p, seed_q, k, l):
     n_h = 40
     p = _even_path(seed_p, k + 1, 30)
     q = _even_path(seed_q, l + 1, n_h)
-    m1, m2 = build_m_pair(p, q, n_h)
+    m1, m2 = _m_pair(p, q, n_h)
 
     def dec(v):
         return divmod(v, n_h)
@@ -86,7 +93,7 @@ def test_m_pair_vertex_disjoint(seed_p, seed_q, k, l):
     n_h = 50
     p = tuple(range(5, 5 + k + 2))
     q = tuple(range(seed_q % 10, seed_q % 10 + l + 2))
-    m1, m2 = build_m_pair(p, q, n_h)
+    m1, m2 = _m_pair(p, q, n_h)
     assert not (set(m1.vertices) & set(m2.vertices))
     assert len(set(m1.vertices)) == len(m1.vertices)
     assert len(set(m2.vertices)) == len(m2.vertices)
@@ -94,14 +101,9 @@ def test_m_pair_vertex_disjoint(seed_p, seed_q, k, l):
 
 def test_m_pair_single_edges():
     # k = l = 0 degenerates to the single product edge, twice
-    m1, m2 = build_m_pair((1, 3), (2, 4), 10)
+    m1, m2 = _m_pair((1, 3), (2, 4), 10)
     assert m1.vertices == (12, 34)
     assert m2.vertices == (14, 32)
-
-
-def test_m_pair_rejects_odd_factor_paths():
-    with pytest.raises(ValueError):
-        build_m_pair((0, 1, 2), (3, 4), 10)
 
 
 def _sha256(text):
@@ -117,7 +119,7 @@ def test_m_pair_bytes_are_pinned():
             for seed in range(3):
                 p = _even_path(seed * 7919 + k, k + 1, 30)
                 q = _even_path(seed * 104729 + l, l + 1, 40)
-                m1, m2 = build_m_pair(p, q, 40)
+                m1, m2 = _m_pair(p, q, 40)
                 lines.append(f"{m1.vertices} {m2.vertices}")
     assert _sha256("\n".join(lines)) == (
         "31b03177f79b7319237e056620645db0fa80229fa75c1915138730c1da9599b0")
@@ -132,7 +134,7 @@ def test_m_pair_bytes_are_pinned_to_fourteen_interior_vertices():
             for seed in range(3):
                 p = _even_path(seed * 7919 + k, k + 1, 30)
                 q = _even_path(seed * 104729 + l, l + 1, 40)
-                for m1, m2 in (build_m_pair(p, q, 40), build_m_pair(q, p, 40)):
+                for m1, m2 in (_m_pair(p, q, 40), _m_pair(q, p, 40)):
                     lines.append(f"{m1.vertices} {m2.vertices}")
     assert _sha256("\n".join(lines)) == (
         "e971f7dbcaa8f41ed1975116622727d7027d659b51d6d2810abbc43236b8a901")
@@ -489,6 +491,9 @@ def test_cartesian_32_rejects_bipartite_first_factor():
 def test_cartesian_32_rejects_edgeless_second_factor():
     with pytest.raises(ValueError):
         cartesian_32(cycle_graph(5), Graph(3, frozenset()))
+    # an edge but no vertex of degree 2
+    with pytest.raises(ValueError):
+        cartesian_32(cycle_graph(5), complete_graph(2))
 
 
 # --- lower bound formulas --------------------------------------------------

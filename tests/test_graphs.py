@@ -16,7 +16,6 @@ from toi.graphs import (
     complete_graph,
     cycle_graph,
     direct_product,
-    find_p3_center,
     is_bipartite,
     lexicographic_product,
     path_graph,
@@ -91,7 +90,7 @@ def test_product_edge_counts_random_pairs():
         assert not (cart.edges & drct.edges)
         # the products skip Graph's per-edge check, which must accept them
         for p in (cart, drct, lex, strong):
-            assert Graph(p.n, p.edges, p.labels, p.name) == p
+            assert Graph(p.n, p.edges, p.labels) == p
 
 
 def test_product_vertex_labels():
@@ -146,17 +145,6 @@ def test_is_bipartite_odd_cycle_witness(n):
 def test_odd_cycle_witness_deterministic():
     g = complete_graph(5)
     assert is_bipartite(g)[1] == is_bipartite(g)[1]
-
-
-def test_find_p3_center():
-    got = find_p3_center(path_graph(3))
-    assert got is not None
-    center, a, b = got
-    assert a != b
-    g = path_graph(3)
-    assert g.has_edge(center, a) and g.has_edge(center, b)
-    assert find_p3_center(complete_graph(2)) is None
-    assert find_p3_center(Graph(4, frozenset())) is None
 
 
 @given(st.integers(2, 7), st.integers(2, 7))
@@ -311,6 +299,15 @@ def test_product_memory_shares_vertex_ids():
 
 _PRODUCTS = [cartesian_product, direct_product, lexicographic_product,
              strong_product]
+
+
+def test_graphs_compare_by_structure():
+    # a graph read back from its text, or rebuilt from its fields, is equal
+    # to the family or product graph it was written from
+    k3, p3 = complete_graph(3), path_graph(3)
+    for g in [k3, cycle_graph(5), p3, *(op(k3, p3) for op in _PRODUCTS)]:
+        assert read_graph_text(write_graph_text(g)) == g
+        assert Graph(g.n, g.edges, g.labels) == g
 
 
 @st.composite

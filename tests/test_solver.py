@@ -44,7 +44,7 @@ def petersen():
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, 5 + i) for i in range(5)]
     edges = frozenset(tuple(sorted(e)) for e in outer + inner + spokes)
-    return Graph(10, edges, name="Petersen")
+    return Graph(10, edges)
 
 
 KNOWN_TOI = [
@@ -357,11 +357,14 @@ def _grid_candidates(ng, nh):
 
 
 def test_product_automorphisms_drop_non_automorphisms():
-    # P3 has no rotation, reflection i -> -i or adjacent transposition among
-    # its automorphisms, and C5 no adjacent transposition, so only the
-    # K3 maps and the C5 rotation and reflection are kept
+    # P3 has no rotation or adjacent transposition among its automorphisms,
+    # and C5 no adjacent transposition, so only the K3 maps, the P3
+    # reversal and the C5 rotation and reversal are kept; the transpose of
+    # the square K3 x P3 grid is no automorphism either
     g = cartesian_product(complete_graph(3), path_graph(3))
-    assert _product_automorphisms(g) == tuple(_grid_candidates(3, 3)[:4])
+    maps = _grid_candidates(3, 3)
+    assert _product_automorphisms(g) == tuple(maps[:4] + [maps[7]])
+    assert maps[7] == [a * 3 + 2 - c for a in range(3) for c in range(3)]
     g = cartesian_product(complete_graph(3), cycle_graph(5))
     kept, maps = _product_automorphisms(g), _grid_candidates(3, 5)
     assert kept == tuple(maps[:4] + maps[-2:])
@@ -369,6 +372,13 @@ def test_product_automorphisms_drop_non_automorphisms():
                    for a in range(3) for c in range(5)]
     assert column_swap == maps[4]
     assert column_swap not in kept and not _is_automorphism(g, column_swap)
+
+
+def test_path_reversal_prunes_the_search():
+    # i -> k - 1 - i is the one automorphism a path factor contributes
+    g = strong_product(cycle_graph(4), path_graph(3))
+    res = exact_toi(g)
+    assert (res.value, res.status, res.nodes_explored) == (6, "exact", 277)
 
 
 def test_unlabelled_graph_has_no_automorphisms():
@@ -967,6 +977,17 @@ def test_timeout_keeps_the_constructed_bound():
     res = exact_toi(g, SearchBudget(max_nodes=1_000))
     assert (res.value, res.status, res.nodes_explored) == (4, "timeout", 1_000)
     assert res.witness.terminals == tuple(sorted(toi.solver._greedy_clique(g)))
+    assert verify(g, res.witness).satisfies("totally-odd-strong")
+
+
+def test_budget_spent_after_the_bounds_meet_is_exact():
+    # level 5 is refuted and the constructed K_4 stands before the budget
+    # runs out inside level 4, so the answer is proved
+    g = Graph(7, frozenset([(0, 3), (0, 5), (1, 2), (1, 3), (1, 4), (1, 5),
+                            (1, 6), (2, 3), (2, 5), (2, 6), (3, 4), (3, 5),
+                            (4, 5), (4, 6)]))
+    res = exact_toi(g, SearchBudget(max_nodes=1))
+    assert (res.value, res.status, res.nodes_explored) == (4, "exact", 1)
     assert verify(g, res.witness).satisfies("totally-odd-strong")
 
 
