@@ -73,14 +73,20 @@ class Graph:
     @cached_property
     def _degree_order(self) -> tuple:
         """Vertex ids by descending degree, ties ascending (a stable sort of
-        ascending ids); the solver's vertex order."""
-        negdeg = [-len(nbrs) for nbrs in self.adjacency]
+        ascending ids); the solver's vertex order.  Degrees are the bit
+        counts of :attr:`_adjacency_masks`."""
+        negdeg = [-mask.bit_count() for mask in self._adjacency_masks]
         return tuple(sorted(range(self.n), key=negdeg.__getitem__))
 
     @cached_property
     def _adjacency_masks(self) -> tuple:
-        """Per-vertex neighbour bit masks."""
-        return tuple([sum(1 << w for w in nbrs) for nbrs in self.adjacency])
+        """Per-vertex neighbour bit masks, built in one pass over the edges
+        without the adjacency tuples."""
+        masks = [0] * self.n
+        for u, v in self.edges:
+            masks[u] |= 1 << v
+            masks[v] |= 1 << u
+        return tuple(masks)
 
     @property
     def m(self) -> int:

@@ -127,8 +127,8 @@ class _ToiSearch:
         self.g = g
         self.cap = _effective_cap(g, budget)
         self.ticker = _Ticker(budget)
-        self.adj = g.adjacency
         self.adj_mask = g._adjacency_masks
+        self.degree = tuple(mask.bit_count() for mask in self.adj_mask)
         self.automorphisms = _product_automorphisms(g)
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
@@ -183,7 +183,7 @@ class _ToiSearch:
         earlier hit: witness bytes stay, and a status only gets stronger."""
         g = self.g
         self.cap_pruned = False
-        order = [v for v in g._degree_order if len(self.adj[v]) >= t - 1]
+        order = [v for v in g._degree_order if self.degree[v] >= t - 1]
         pairs = list(itertools.combinations(range(t), 2))
         # q[v]: where in order an automorphism (it keeps degrees) puts v
         rank = {v: i for i, v in enumerate(order)}
@@ -288,7 +288,7 @@ class _ToiSearch:
         twice_adjacent = degree_sum = 0
         for v in subset:
             twice_adjacent += (self.adj_mask[v] & subset_mask).bit_count()
-            degree_sum += len(self.adj[v])
+            degree_sum += self.degree[v]
         t = len(subset)
         far = t * (t - 1) // 2 - twice_adjacent // 2
         terminal_other = degree_sum - twice_adjacent
@@ -355,9 +355,9 @@ def _odd_walks(src, need, free, terminals) -> bool:
 
 
 def _eligibility_bound(g: Graph) -> int:
-    adj = g.adjacency
+    masks = g._adjacency_masks
     return max(t for t, v in enumerate(g._degree_order, 1)
-               if len(adj[v]) >= t - 1)
+               if masks[v].bit_count() >= t - 1)
 
 
 def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
@@ -428,7 +428,8 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
 
 def _greedy_clique(g: Graph) -> list:
     """The largest of the cliques grown greedily from each vertex, members
-    in order of descending degree, then id; the first one on ties."""
+    in order of descending degree, then id; the first one on ties.  A scan
+    stops once no vertex is adjacent to every member."""
     best = []
     adj_mask, order = g._adjacency_masks, g._degree_order
     for v in order:
@@ -438,6 +439,8 @@ def _greedy_clique(g: Graph) -> list:
             if common >> w & 1:
                 members.append(w)
                 common &= adj_mask[w]
+                if not common:
+                    break
         if len(members) > len(best):
             best = members
     return best
@@ -466,29 +469,38 @@ def _constructed_witness(clique, odd_cycle, upper: int) -> Certificate:
         routes = {(a, b): (terminals[a], terminals[b])
                   for a, b in itertools.combinations(range(len(terminals)), 2)}
     r = min(len(terminals), upper)
-    return Certificate(r, terminals[:r], {pair: Route(vertices)
+    # the caller verifies the whole certificate (_verified)
+    return Certificate(r, terminals[:r], {pair: Route._trusted(vertices)
                                           for pair, vertices in routes.items()
                                           if pair[1] < r})
 
 
 def _dsatur(g: Graph):
     """DSATUR coloring; returns (color list, number of colors).  Ties in
-    saturation go to the higher degree, then the lower id."""
+    saturation go to the higher degree, then the lower id.  Each vertex keeps
+    a bit mask of its coloured neighbours' colours and their count; a vertex
+    takes its mask's lowest clear bit as its colour and sets that bit in its
+    neighbours' masks, walking its neighbour bit mask lowest bit first."""
     colors = [-1] * g.n
-    # the colours on each vertex's coloured neighbours
-    seen = [set() for _ in range(g.n)]
-    order = g._degree_order
+    seen = [0] * g.n  # bit c: colour c is on a coloured neighbour
+    sat = [0] * g.n
+    adj_mask, order = g._adjacency_masks, g._degree_order
     for _ in order:
         v, best = -1, -1
         for u in order:
-            if colors[u] < 0 and len(seen[u]) > best:
-                v, best = u, len(seen[u])
-        c = 0
-        while c in seen[v]:
-            c += 1
+            if colors[u] < 0 and sat[u] > best:
+                v, best = u, sat[u]
+        s = seen[v]
+        c = (~s & (s + 1)).bit_length() - 1
         colors[v] = c
-        for w in g.adjacency[v]:
-            seen[w].add(c)
+        bit, nbrs = 1 << c, adj_mask[v]
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            w = low.bit_length() - 1
+            if not seen[w] & bit:
+                seen[w] |= bit
+                sat[w] += 1
     return colors, (max(colors) + 1 if g.n else 0)
 
 

@@ -714,13 +714,39 @@ def _plain_bounds(g):
     return clique, colors
 
 
+def _assert_tables_match_adjacency(g):
+    # the solver's two per-graph tables, built from the edges, against the
+    # adjacency tuples
+    assert g._adjacency_masks == tuple(sum(1 << w for w in g.adjacency[v])
+                                       for v in range(g.n))
+    assert g._degree_order == tuple(sorted(
+        range(g.n), key=lambda v: (-len(g.adjacency[v]), v)))
+
+
 def test_colouring_bounds_match_plain_scans():
     # the bounds set chromatic_number's search range, so their exact output,
     # colours included, is pinned against the plain scans
     for g in itertools.chain(_differential_graphs(), DSATUR_SUBOPTIMAL):
+        _assert_tables_match_adjacency(g)
         clique, colors = _plain_bounds(g)
         assert len(toi.solver._greedy_clique(g)) == clique
         assert toi.solver._dsatur(g) == (colors, max(colors) + 1)
+    # masks far wider than a machine word
+    for g in (direct_product(complete_graph(48), complete_graph(18)),
+              cycle_graph(2001)):
+        _assert_tables_match_adjacency(g)
+
+
+def test_settled_graphs_build_no_adjacency_tuples():
+    # the set-up reads the bit masks only; the tuples are built for
+    # is_bipartite, which runs when the greedy clique has fewer than 3
+    # vertices, and for a search
+    g = complete_graph(5)
+    assert check_conjecture(g).toi.nodes_explored == 0
+    assert "adjacency" not in g.__dict__
+    g = cycle_graph(5)
+    check_conjecture(g)
+    assert "adjacency" in g.__dict__
 
 
 def test_mycielski_chromatic_numbers():
@@ -893,6 +919,18 @@ def _sweep_graphs(seed, count):
                                  for v in range(u + 1, n) if rng.random() < p))
 
 
+def _reports_digest(reports):
+    """sha256 over each report's chi and toi (value, status, nodes), its
+    colouring and verdict, and the canonical bytes of its toi witness."""
+    h = hashlib.sha256()
+    for rep in reports:
+        h.update(repr((rep.chi.value, rep.chi.status, rep.chi.nodes_explored,
+                       rep.toi.value, rep.toi.status, rep.toi.nodes_explored,
+                       rep.colouring, rep.satisfied)).encode())
+        h.update(serialize_certificate(rep.toi.witness).encode())
+    return h.hexdigest()
+
+
 def test_check_conjecture_agrees_with_the_old_rule():
     # Where toi <= k (the DSATUR colour count), the new toi search is a
     # suffix of the old descending one, so it never spends more nodes.
@@ -998,6 +1036,10 @@ def test_construction_changes_no_verdict(monkeypatch):
     # the search alone spent 30,368 of its 31,095 nodes
     graphs = list(itertools.chain(_all_graphs(5), _sweep_graphs(321, 3_000)))
     built = [check_conjecture(g) for g in graphs]
+    # every output byte of these 4,024 reports, witnesses and colourings
+    # included
+    assert _reports_digest(built) == (
+        "3f90be8fb91cf1e8520509f97831ad5c415c70a42938379f40bb0bbaa34e66f8")
     # a one-terminal bound makes every call search down from its upper
     # bound, as before the construction
     monkeypatch.setattr(toi.solver, "_constructed_witness",
