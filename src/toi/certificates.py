@@ -280,12 +280,13 @@ def _require(cond, msg, *args):
 def parse_certificate(text: str) -> Certificate:
     """Parse and structurally validate a certificate document.
 
-    Missing pairs, duplicate pairs, and bad vertex ids are schema errors;
+    Any text that is not a certificate document, from bad JSON to missing
+    or duplicate pairs and bad vertex ids, raises CertificateSchemaError;
     semantic properties are left to :func:`verify`.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise CertificateSchemaError(f"not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "top level must be an object")
     _require(type(doc.get("clique_size")) is int and doc["clique_size"] >= 1,

@@ -1,7 +1,9 @@
 """Command-line interface: products, constructions, verification, solving.
 
 Exit codes: 0 success, 1 well-formed negative answer (failed verification,
-timeout, violated or indeterminate conjecture), 2 usage or format error.
+timeout, violated or indeterminate conjecture), 2 every input the library
+rejects: a file that cannot be read, decoded as UTF-8 or parsed, and any
+argument the library refuses.  Internal faults raise.
 Every command is deterministic; ``--json`` replaces the human report with a
 single JSON object on standard output.
 
@@ -22,8 +24,6 @@ from typing import Optional
 
 from .certificates import (
     REQUIREMENT_LEVELS,
-    Certificate,
-    CertificateSchemaError,
     MalformedCertificateError,
     parse_certificate,
     serialize_certificate,
@@ -38,8 +38,6 @@ from .constructions import (
     direct_lift,
 )
 from .graphs import (
-    Graph,
-    GraphFormatError,
     cartesian_product,
     complete_graph,
     direct_product,
@@ -69,24 +67,16 @@ class _UsageError(Exception):
     pass
 
 
-def _read_graph(path: str) -> Graph:
+def _read(path: str, what: str, parse):
+    """``parse`` of a file's UTF-8 text; a file that cannot be read, decoded
+    or parsed is a usage error that names it."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return read_graph_text(fh.read())
+            return parse(fh.read())
     except OSError as exc:
-        raise _UsageError(f"cannot read graph file {path}: {exc}")
-    except GraphFormatError as exc:
-        raise _UsageError(f"bad graph file {path}: {exc}")
-
-
-def _read_cert(path: str) -> Certificate:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_certificate(fh.read())
-    except OSError as exc:
-        raise _UsageError(f"cannot read certificate file {path}: {exc}")
-    except CertificateSchemaError as exc:
-        raise _UsageError(f"bad certificate file {path}: {exc}")
+        raise _UsageError(f"cannot read {what} file {path}: {exc}")
+    except ValueError as exc:
+        raise _UsageError(f"bad {what} file {path}: {exc}")
 
 
 def _write(path: str, text: str):
@@ -115,11 +105,11 @@ def _verdict(rep):
 
 
 def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
-    g = _read_graph(graph_path)
+    g = _read(graph_path, "graph", read_graph_text)
     if g.n == 0:
         raise _UsageError(f"factor graph {graph_path} is empty")
     if cert_path is not None:
-        cert = _read_cert(cert_path)
+        cert = _read(cert_path, "certificate", parse_certificate)
         try:
             return FactorImmersion(g, cert)
         except ValueError as exc:
@@ -131,12 +121,9 @@ def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
 
 
 def _cmd_product(args) -> int:
-    g = _read_graph(args.g)
-    h = _read_graph(args.h)
-    try:
-        prod = _PRODUCTS[args.op](g, h)
-    except ValueError as exc:  # an empty factor
-        raise _UsageError(str(exc))
+    g = _read(args.g, "graph", read_graph_text)
+    h = _read(args.h, "graph", read_graph_text)
+    prod = _PRODUCTS[args.op](g, h)
     _write(args.output, write_graph_text(prod))
     report = {"command": "product", "op": args.op, "vertices": prod.n,
               "edges": prod.m, "output": args.output}
@@ -146,8 +133,8 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    g = _read_graph(args.graph)
-    cert = _read_cert(args.cert)
+    g = _read(args.graph, "graph", read_graph_text)
+    cert = _read(args.cert, "certificate", parse_certificate)
     try:
         rep = verify(g, cert)
     except MalformedCertificateError as exc:
@@ -169,29 +156,26 @@ def _cmd_verify(args) -> int:
 def _build_certificate(args):
     """Run one construction; returns (host graph, certificate, required level)."""
     kind = args.kind
-    try:
-        if kind == "direct-kts":
-            # the construction checks t and s before the host is built
-            cert = direct_kts(args.t, args.s)
-            host = direct_product(complete_graph(2 * args.t),
-                                  complete_graph(args.s))
-            return host, cert, "totally-odd-strong"
-        if kind == "cart-32":
-            g = _read_graph(args.g)
-            h = _read_graph(args.h)
-            return cartesian_product(g, h), cartesian_32(g, h), "totally-odd-strong"
-        fg = _factor(args.g, args.g_cert)
-        fh = _factor(args.h, args.h_cert)
-        if kind == "direct-lift":
-            base = _read_cert(args.base)
-            # strongness and route simplicity of the lift are reported, not
-            # required; the guaranteed level is totally odd
-            return (direct_product(fg.host, fh.host), direct_lift(fg, fh, base),
-                    "totally-odd")
-        return (cartesian_product(fg.host, fh.host),
-                _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong")
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    if kind == "direct-kts":
+        # the construction checks t and s before the host is built
+        cert = direct_kts(args.t, args.s)
+        host = direct_product(complete_graph(2 * args.t),
+                              complete_graph(args.s))
+        return host, cert, "totally-odd-strong"
+    if kind == "cart-32":
+        g = _read(args.g, "graph", read_graph_text)
+        h = _read(args.h, "graph", read_graph_text)
+        return cartesian_product(g, h), cartesian_32(g, h), "totally-odd-strong"
+    fg = _factor(args.g, args.g_cert)
+    fh = _factor(args.h, args.h_cert)
+    if kind == "direct-lift":
+        base = _read(args.base, "certificate", parse_certificate)
+        # strongness and route simplicity of the lift are reported, not
+        # required; the guaranteed level is totally odd
+        return (direct_product(fg.host, fh.host), direct_lift(fg, fh, base),
+                "totally-odd")
+    return (cartesian_product(fg.host, fh.host),
+            _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong")
 
 
 def _cmd_construct(args) -> int:
@@ -227,10 +211,7 @@ def _budget(args) -> SearchBudget:
         kwargs["max_nodes"] = args.nodes
     if args.time_limit is not None:
         kwargs["time_limit"] = args.time_limit
-    try:
-        return SearchBudget(**kwargs)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    return SearchBudget(**kwargs)
 
 
 def _write_witness(result, path: Optional[str]) -> Optional[str]:
@@ -245,11 +226,8 @@ def _write_witness(result, path: Optional[str]) -> Optional[str]:
 def _cmd_solve(args) -> int:
     if args.max_t is not None and args.max_t < 1:
         raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
-    g = _read_graph(args.graph)
-    try:
-        result = exact_toi(g, _budget(args), max_t=args.max_t)
-    except ValueError as exc:  # an empty graph
-        raise _UsageError(str(exc))
+    g = _read(args.graph, "graph", read_graph_text)
+    result = exact_toi(g, _budget(args), max_t=args.max_t)
     witness_path = _write_witness(result, args.witness)
     report = {"command": "solve", "value": result.value,
               "status": result.status, "nodes_explored": result.nodes_explored,
@@ -263,11 +241,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_check_conjecture(args) -> int:
-    g = _read_graph(args.graph)
-    try:
-        outcome = check_conjecture(g, _budget(args))
-    except ValueError as exc:  # an empty graph
-        raise _UsageError(str(exc))
+    g = _read(args.graph, "graph", read_graph_text)
+    outcome = check_conjecture(g, _budget(args))
     satisfied = outcome.satisfied
     verdict = {True: "satisfied", False: "VIOLATED", None: "indeterminate"}[satisfied]
     chi, toi = outcome.chi, outcome.toi
@@ -378,7 +353,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
+        # ValueError is the library's bad-input signal; faults propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -250,9 +250,13 @@ def write_graph_text(g: Graph) -> str:
 
 class _TokenInts(dict):
     """Token -> ``int(token)``, filled on a miss: a file's edges share one
-    int per distinct token, and the table never outgrows the tokens."""
+    int per distinct token, and the table never outgrows the tokens.  Only
+    the writer's integers pass: ASCII digits after an optional ``-``."""
 
     def __missing__(self, token):
+        digits = token[1:] if token[:1] == "-" else token
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError(f"not a decimal integer: {token!r}")
         value = self[token] = int(token)
         return value
 
@@ -282,7 +286,7 @@ def read_graph_text(text: str) -> Graph:
             if len(parts) != 4 or parts[1] != "toi":
                 raise GraphFormatError(f"line {lineno}: expected 'p toi <n> <m>'")
             try:
-                n, m = int(parts[2]), int(parts[3])
+                n, m = ids[parts[2]], ids[parts[3]]
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer counts") from None
         elif parts[0] == "e":
@@ -293,7 +297,7 @@ def read_graph_text(text: str) -> Graph:
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'l <v> <g> <h>'")
             try:
-                v, a, b = int(parts[1]), int(parts[2]), int(parts[3])
+                v, a, b = ids[parts[1]], ids[parts[2]], ids[parts[3]]
             except ValueError:
                 raise GraphFormatError(f"line {lineno}: non-integer label") from None
             if v in label_map:

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -374,6 +375,10 @@ def test_round_trip_identity_any_size(t):
     assert parse_certificate(serialize_certificate(cert)) == cert
 
 
+# 0 where the interpreter sets no such limit
+_INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
 @pytest.mark.parametrize("text", [
     "",
     "{",
@@ -395,6 +400,12 @@ def test_round_trip_identity_any_size(t):
     '[{"pair": [false, true], "vertices": [0, 1]}]}',
     '{"clique_size": 2, "terminals": [0, 1], "connections": '
     '[{"pair": [0, 1], "vertices": [false, 1]}]}',
+    # json.loads raises RecursionError and a plain ValueError for these
+    pytest.param("[" * 100_000, id="deep"),
+    pytest.param('{"clique_size": ' + "1" * (_INT_DIGITS_LIMIT + 1) + "}",
+                 id="long-int", marks=pytest.mark.skipif(
+                     not _INT_DIGITS_LIMIT,
+                     reason="no limit on integer string conversion")),
 ])
 def test_parse_rejects_malformed(text):
     with pytest.raises(CertificateSchemaError):

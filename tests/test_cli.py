@@ -2,11 +2,13 @@
 
 import gc
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
 import toi.cli
+import toi.solver
 from toi.certificates import (
     Certificate,
     Route,
@@ -26,6 +28,10 @@ from toi.graphs import (
     read_graph_text,
     write_graph_text,
 )
+
+
+# 0 where the interpreter sets no limit on integer string conversion
+_INT_DIGITS_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 @pytest.fixture
@@ -373,6 +379,56 @@ def test_empty_graph_is_a_usage_error(capsys, files, argv, message):
 def test_missing_file_is_a_usage_error(capsys, files, argv, message):
     code, stdout, err = run(capsys, *(a.format(**files) for a in argv))
     assert (code, stdout, err) == (2, "", f"error: {message.format(**files)}\n")
+
+
+_NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+
+@pytest.mark.parametrize("argv, bad", [
+    (["solve", "{bad}"], "graph"),
+    (["verify", "{bad}", "{dir}/none.cert"], "graph"),
+    (["product", "--op", "direct", "{k2}", "{bad}", "-o", "{dir}/x.graph"],
+     "graph"),
+    (["construct", "cart-large", "--g", "{k2}", "--h", "{bad}",
+      "-o", "{dir}/x.graph"], "graph"),
+    (["verify", "{k3}", "{bad}"], "certificate"),
+    (["construct", "cart-33", "--g", "{k3}", "--g-cert", "{bad}",
+      "--h", "{k3}", "-o", "{dir}/x.graph"], "certificate"),
+    (["construct", "direct-lift", "--g", "{k3}", "--h", "{k3}",
+      "--base", "{bad}", "-o", "{dir}/x.graph"], "certificate"),
+], ids=["solve", "verify-graph", "product", "construct-factor", "verify-cert",
+        "g-cert", "base"])
+def test_file_that_is_not_utf8_is_a_usage_error(capsys, files, argv, bad):
+    path = files["dir"] / "bad.bin"
+    path.write_bytes(b"\xff")
+    code, stdout, err = run(capsys, *(a.format(bad=path, **files)
+                                      for a in argv))
+    assert (code, stdout, err) == (2, "", f"error: bad {bad} file {path}: "
+                                          f"{_NOT_UTF8}\n")
+    assert not (files["dir"] / "x.graph").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000,
+    pytest.param('{"clique_size": ' + "1" * (_INT_DIGITS_LIMIT + 1) + "}",
+                 marks=pytest.mark.skipif(
+                     not _INT_DIGITS_LIMIT,
+                     reason="no limit on integer string conversion")),
+], ids=["deep", "long-int"])
+def test_certificate_json_cannot_load_is_a_usage_error(capsys, files, text):
+    path = files["dir"] / "bad.cert"
+    path.write_text(text)
+    code, stdout, err = run(capsys, "verify", files["k3"], str(path))
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: bad certificate file {path}: not valid JSON: ")
+
+
+def test_internal_fault_is_not_a_usage_error(files, monkeypatch):
+    # an improper colouring is a solver fault, not bad input: it must escape
+    # main as a traceback rather than exit 2
+    monkeypatch.setattr(toi.solver, "_dsatur", lambda g: ([0] * g.n, 1))
+    with pytest.raises(RuntimeError, match="not a proper"):
+        main(["check-conjecture", files["c5"]])
 
 
 def test_construct_rejects_a_factor_certificate_that_fails(capsys, files):

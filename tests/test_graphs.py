@@ -187,6 +187,17 @@ def test_text_format_ignores_comments():
     ("p toi 3 1\ne 0\n", "line 2: expected 'e <u> <v>'"),
     ("p toi 3 1\ne 0 1 2\n", "line 2: expected 'e <u> <v>'"),
     ("p toi 3 1\ne 0 1.0\n", "line 2: non-integer endpoints"),
+    # only the integers the writer writes: int() would also take a sign,
+    # digit-group underscores and non-ASCII digits
+    ("p toi 3 1\ne 0 +2\n", "line 2: non-integer endpoints"),
+    ("p toi 12 1\ne 0 1_0\n", "line 2: non-integer endpoints"),
+    ("p toi 3 1\ne 0 \u0662\n", "line 2: non-integer endpoints"),
+    ("p toi +3 0\n", "line 1: non-integer counts"),
+    ("p toi 1_0 0\n", "line 1: non-integer counts"),
+    ("p toi \u0663 0\n", "line 1: non-integer counts"),
+    ("p toi 2 1\ne 0 1\nl +0 0 0\n", "line 3: non-integer label"),
+    ("p toi 2 1\ne 0 1\nl 0 0_0 0\n", "line 3: non-integer label"),
+    ("p toi 2 1\ne 0 1\nl 0 0 \u0660\n", "line 3: non-integer label"),
     ("p toi 3 1\ne 0 3\n", "line 2: edge (0, 3) out of range or not ordered"),
     ("p toi 3 1\ne 1 0\n", "line 2: edge (1, 0) out of range or not ordered"),
     ("p toi 3 1\ne 1 1\n", "line 2: edge (1, 1) out of range or not ordered"),
