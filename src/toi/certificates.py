@@ -170,45 +170,33 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
     Each flag's ``first_violation`` entry names the first failure in
     sorted-pair order.  Raises :class:`MalformedCertificateError` for
     out-of-range vertex ids or pair keys; that is an input defect, not a
-    false flag.
+    false flag.  The first bad id met is named: a terminal, then a route's
+    first bad vertex in pair order (checked only on non-host edges, which
+    every edge at such a vertex is), then a key the pair walk missed.
     """
     n = host.n
     r = cert.clique_size
     terminals = cert.terminals
+    violations = {}
+    terminal_set = set()
     for v in terminals:
         if not (0 <= v < n):
             raise MalformedCertificateError(f"terminal {v} outside host (n={n})")
-    # connections is a plain dict, so keys added after construction are
-    # checked here too
-    for pair, route in cert.connections.items():
-        a, b = pair
-        if not (0 <= a < b < r):
-            raise MalformedCertificateError(
-                f"pair {pair} is not a valid terminal-index pair")
-        verts = route.vertices
-        if min(verts) < 0 or max(verts) >= n:
-            v = next(v for v in verts if not (0 <= v < n))
-            raise MalformedCertificateError(
-                f"route for pair {pair} visits vertex {v} outside host (n={n})")
+        if v in terminal_set:
+            violations.setdefault("terminals_distinct", f"terminal {v} repeats")
+        terminal_set.add(v)
 
-    violations = {}
-    seen = set()
-    for v in terminals:
-        if v in seen:
-            violations["terminals_distinct"] = f"terminal {v} repeats"
-            break
-        seen.add(v)
-
-    terminal_set = set(terminals)
     connections = cert.connections
     host_edges = host.edges
     used = set()  # edges as int keys lo * n + hi
+    missing = 0
     for a in range(r):
         ta = terminals[a]
         for b in range(a + 1, r):
             route = connections.get((a, b))
             if route is None:
                 violations.setdefault("complete", f"missing pair {(a, b)}")
+                missing += 1
                 continue
             verts = route.vertices
             tb = terminals[b]
@@ -234,6 +222,11 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
             for v in verts[1:]:
                 lo, hi = (u, v) if u < v else (v, u)
                 if (lo, hi) not in host_edges:
+                    # u can be out of range only as the route's first vertex
+                    if lo < 0 or hi >= n:
+                        w = u if not (0 <= u < n) else v
+                        raise MalformedCertificateError(
+                            f"route for pair {(a, b)} visits vertex {w} outside host (n={n})")
                     violations.setdefault(
                         "edges_exist", f"pair {(a, b)}: ({lo}, {hi}) is not a host edge")
                 if lo * n + hi in used:
@@ -242,6 +235,12 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
                 used.add(lo * n + hi)
                 u = v
 
+    # the walk reached only the keys equal to pairs 0 <= a < b < r
+    if r * (r - 1) // 2 - missing != len(connections):
+        pair = next(p for p in connections
+                    if not (isinstance(p, tuple) and len(p) == 2 and p[0] in range(r)
+                            and p[1] in range(r) and p[0] < p[1]))
+        raise MalformedCertificateError(f"pair {pair} is not a valid terminal-index pair")
     return VerificationReport({name: violations[name]
                                for name in _FLAG_LEVELS if name in violations})
 

@@ -63,20 +63,16 @@ _CARTESIAN_BUILDERS = {
 }
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _read(path: str, what: str, parse):
     """``parse`` of a file's UTF-8 text; a file that cannot be read, decoded
-    or parsed is a usage error that names it."""
+    or parsed raises a ValueError that names it."""
     try:
         with open(path, encoding="utf-8") as fh:
             return parse(fh.read())
     except OSError as exc:
-        raise _UsageError(f"cannot read {what} file {path}: {exc}")
+        raise ValueError(f"cannot read {what} file {path}: {exc}")
     except ValueError as exc:
-        raise _UsageError(f"bad {what} file {path}: {exc}")
+        raise ValueError(f"bad {what} file {path}: {exc}")
 
 
 def _write(path: str, text: str):
@@ -84,7 +80,7 @@ def _write(path: str, text: str):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
+        raise ValueError(f"cannot write {path}: {exc}")
 
 
 def _emit(report: dict, lines: list, as_json: bool):
@@ -107,15 +103,15 @@ def _verdict(rep):
 def _factor(graph_path: str, cert_path: Optional[str]) -> FactorImmersion:
     g = _read(graph_path, "graph", read_graph_text)
     if g.n == 0:
-        raise _UsageError(f"factor graph {graph_path} is empty")
+        raise ValueError(f"factor graph {graph_path} is empty")
     if cert_path is not None:
         cert = _read(cert_path, "certificate", parse_certificate)
         try:
             return FactorImmersion(g, cert)
         except ValueError as exc:
-            raise _UsageError(f"factor certificate {cert_path}: {exc}")
+            raise ValueError(f"factor certificate {cert_path}: {exc}")
     if not g.is_complete():
-        raise _UsageError(
+        raise ValueError(
             f"{graph_path} is not complete; supply an explicit certificate")
     return FactorImmersion.identity(g)
 
@@ -138,7 +134,7 @@ def _cmd_verify(args) -> int:
     try:
         rep = verify(g, cert)
     except MalformedCertificateError as exc:
-        raise _UsageError(f"certificate does not fit the graph: {exc}")
+        raise ValueError(f"certificate does not fit the graph: {exc}")
     ok = rep.satisfies(args.require)
     verdict, verdict_lines = _verdict(rep)
     report = {"command": "verify", "clique_size": cert.clique_size,
@@ -225,7 +221,7 @@ def _write_witness(result, path: Optional[str]) -> Optional[str]:
 
 def _cmd_solve(args) -> int:
     if args.max_t is not None and args.max_t < 1:
-        raise _UsageError(f"--max-t must be a positive integer, got {args.max_t}")
+        raise ValueError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read(args.graph, "graph", read_graph_text)
     result = exact_toi(g, _budget(args), max_t=args.max_t)
     witness_path = _write_witness(result, args.witness)
@@ -353,8 +349,8 @@ def main(argv=None) -> int:
     gc.disable()
     try:
         return args.func(args)
-    except (_UsageError, ValueError) as exc:
-        # ValueError is the library's bad-input signal; faults propagate
+    except ValueError as exc:
+        # ValueError signals bad input here and in the library; faults propagate
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

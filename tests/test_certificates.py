@@ -17,6 +17,7 @@ from toi.certificates import (
     CertificateSchemaError,
     MalformedCertificateError,
     Route,
+    VerificationReport,
     concatenate_routes,
     identity_certificate,
     parse_certificate,
@@ -628,12 +629,21 @@ def test_certificate_text_round_trip(cert):
         2, (0, 1), {(0, 1): Route((0, 2, 3, 1))})),
      MalformedCertificateError,
      "route for pair (0, 1) visits vertex 3 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((5, 0, 2, 1))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 5 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((6, -2, 0, 1))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 6 outside host (n=3)"),
     (lambda: Certificate(0, ()), ValueError, "clique size must be positive"),
     (lambda: Certificate(2, (0,)), ValueError,
      "terminal count must equal the clique size"),
 ], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
         "parse-missing-first", "verify-high",
-        "verify-negative", "verify-n", "cert-size", "cert-terminals"])
+        "verify-negative", "verify-n", "verify-first", "verify-two",
+        "cert-size", "cert-terminals"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:
         build()
@@ -650,7 +660,7 @@ def test_edges_exist_names_edge_low_high():
     }
 
 
-@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1)])
+@pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (0, 1, 2)])
 def test_verify_rejects_pair_key_added_after_construction(pair):
     # connections is a plain dict, so a key added later skips the range
     # check of Certificate.__post_init__; verify must still reject it
@@ -659,3 +669,59 @@ def test_verify_rejects_pair_key_added_after_construction(pair):
     with pytest.raises(MalformedCertificateError) as err:
         verify(complete_graph(2), cert)
     assert str(pair) in str(err.value)
+    # with the valid pair deleted as well, the walk still reaches fewer
+    # routes than the certificate holds
+    del cert.connections[(0, 1)]
+    with pytest.raises(MalformedCertificateError) as err:
+        verify(complete_graph(2), cert)
+    assert str(err.value) == f"pair {pair} is not a valid terminal-index pair"
+
+
+@st.composite
+def _certificates_with_bad_ids(draw):
+    """A certificate in K4 or C5, possibly with an id pushed out of range
+    (a terminal, or a route's first, middle or last vertex) and bad pair
+    keys added after construction."""
+    host = draw(st.sampled_from([complete_graph(4), cycle_graph(5)]))
+    n = host.n
+    r = draw(st.integers(1, 4))
+    vertex = st.integers(0, n - 1)
+    bad_vertex = st.sampled_from([-2, -1, n, n + 3])
+    faults = draw(st.sets(st.sampled_from(["terminal", "route", "key"])))
+    terminals = draw(st.lists(vertex, min_size=r, max_size=r))
+    connections = {}
+    for a in range(r):
+        for b in range(a + 1, r):
+            walk = [terminals[a], *draw(st.lists(vertex, max_size=3)), terminals[b]]
+            if "route" in faults and draw(st.booleans()):
+                walk[draw(st.sampled_from([0, len(walk) // 2, -1]))] = draw(bad_vertex)
+            verts = [v for i, v in enumerate(walk) if i == 0 or v != walk[i - 1]]
+            if len(verts) >= 2 and draw(st.booleans()):
+                connections[(a, b)] = Route(tuple(verts))
+    if "terminal" in faults:
+        terminals[draw(st.integers(0, r - 1))] = draw(bad_vertex)
+    cert = Certificate(r, tuple(terminals), connections)
+    if "key" in faults:
+        keys = st.one_of(
+            st.tuples(st.integers(-1, 5), st.integers(-1, 5)).filter(
+                lambda p: not 0 <= p[0] < p[1] < r),
+            st.just((0, 1, 2)), st.just((0,)))
+        for key in draw(st.lists(keys, min_size=1, max_size=2)):
+            cert.connections[key] = Route((0, 1))
+    return host, cert
+
+
+@given(_certificates_with_bad_ids())
+@settings(max_examples=200, deadline=None)
+def test_verify_raises_exactly_on_bad_ids(case):
+    host, cert = case
+    n, r = host.n, cert.clique_size
+    bad = (any(not 0 <= v < n for v in cert.terminals)
+           or any(not 0 <= v < n
+                  for route in cert.connections.values() for v in route.vertices)
+           or any(len(p) != 2 or not 0 <= p[0] < p[1] < r for p in cert.connections))
+    if bad:
+        with pytest.raises(MalformedCertificateError):
+            verify(host, cert)
+    else:
+        assert isinstance(verify(host, cert), VerificationReport)

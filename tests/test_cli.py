@@ -162,8 +162,22 @@ def test_verify_cert_for_other_graph(capsys, files):
     cert_path = str(files["dir"] / "big.cert")
     assert run(capsys, "construct", "direct-kts", "--t", "6", "--s", "5",
                "-o", cert_path)[0] == 0
-    code, _, err = run(capsys, "verify", files["k4"], cert_path)
+    code, stdout, err = run(capsys, "verify", files["k4"], cert_path)
     assert code == 2
+    assert stdout == ""
+    assert err == ("error: certificate does not fit the graph: "
+                   "terminal 4 outside host (n=4)\n")
+
+
+def test_verify_cert_route_leaves_host(capsys, files, tmp_path):
+    # the route's first edge (0, 7) misses K3, and 7 is its first bad vertex
+    cert_path = tmp_path / "far.cert"
+    cert_path.write_text('{"clique_size": 2, "terminals": [0, 1], "connections": '
+                         '[{"pair": [0, 1], "vertices": [0, 7, 2, 9, 1]}]}')
+    code, stdout, err = run(capsys, "verify", files["k3"], str(cert_path))
+    assert (code, stdout) == (2, "")
+    assert err == ("error: certificate does not fit the graph: "
+                   "route for pair (0, 1) visits vertex 7 outside host (n=3)\n")
 
 
 # --- construct ---------------------------------------------------------------
