@@ -19,11 +19,9 @@ from .certificates import (
 from .constructions import (
     FactorImmersion,
     cartesian_32,
-    cartesian_33,
     cartesian_large,
     direct_kts,
     direct_lift,
-    toi_lower_bound_product,
 )
 from .graphs import (
     Graph,
@@ -61,7 +59,6 @@ __all__ = [
     "SolveResult",
     "VerificationReport",
     "cartesian_32",
-    "cartesian_33",
     "cartesian_large",
     "cartesian_product",
     "check_conjecture",
@@ -81,7 +78,6 @@ __all__ = [
     "read_graph_text",
     "serialize_certificate",
     "strong_product",
-    "toi_lower_bound_product",
     "verify",
     "write_graph_text",
 ]

@@ -117,9 +117,10 @@ class Certificate:
             raise ValueError("clique size must be positive")
         if len(self.terminals) != self.clique_size:
             raise ValueError("terminal count must equal the clique size")
-        for a, b in self.connections:
-            if not (0 <= a < b < self.clique_size):
-                raise ValueError(f"pair ({a}, {b}) is not a valid terminal-index pair")
+        for pair in self.connections:
+            if not (isinstance(pair, tuple) and len(pair) == 2
+                    and 0 <= pair[0] < pair[1] < self.clique_size):
+                raise ValueError(f"pair {pair} is not a valid terminal-index pair")
 
 
 # flag -> the weakest requirement level that needs it, in report order

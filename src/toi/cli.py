@@ -32,7 +32,6 @@ from .certificates import (
 from .constructions import (
     FactorImmersion,
     cartesian_32,
-    cartesian_33,
     cartesian_large,
     direct_kts,
     direct_lift,
@@ -53,13 +52,6 @@ _PRODUCTS = {
     "direct": direct_product,
     "lex": lexicographic_product,
     "strong": strong_product,
-}
-
-
-# construct kinds that build from two factor immersions in G [] H
-_CARTESIAN_BUILDERS = {
-    "cart-large": cartesian_large,
-    "cart-33": cartesian_33,
 }
 
 
@@ -170,8 +162,8 @@ def _build_certificate(args):
         # required; the guaranteed level is totally odd
         return (direct_product(fg.host, fh.host), direct_lift(fg, fh, base),
                 "totally-odd")
-    return (cartesian_product(fg.host, fh.host),
-            _CARTESIAN_BUILDERS[kind](fg, fh), "totally-odd-strong")
+    return (cartesian_product(fg.host, fh.host), cartesian_large(fg, fh),
+            "totally-odd-strong")
 
 
 def _cmd_construct(args) -> int:
@@ -305,11 +297,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--s", type=int, required=True)
 
-    for kind, blurb in (("cart-large",
-                         "K_{t+s-1} certificate in a Cartesian product, s >= 4"),
-                        ("cart-33",
-                         "K_4 certificate from two K_3 factor immersions")):
-        _add_factor_args(csub.add_parser(kind, help=blurb), with_certs=True)
+    p = csub.add_parser("cart-large",
+                        help="K_{t+s-1} certificate in a Cartesian product, "
+                             "s >= 4")
+    _add_factor_args(p, with_certs=True)
 
     p = csub.add_parser("cart-32",
                         help="K_4 certificate from an odd cycle and a "

@@ -1,9 +1,12 @@
 """Executable constructions of totally odd strong immersions in graph products.
 
-Every function here builds a :class:`~toi.certificates.Certificate` by
-manipulating terminal/route indices of factor certificates, never factor-graph
-structure, so the constructions apply to arbitrary hosts.  Correctness is
-defined by the verifier: callers (and the test suite) re-verify every output.
+Every function here builds a :class:`~toi.certificates.Certificate`.
+``direct_lift`` and ``cartesian_large`` read only the terminals and routes of
+factor certificates, never factor-graph structure, so they apply to arbitrary
+hosts; ``direct_kts`` takes no factors; ``cartesian_32`` reads its factor
+graphs: an odd cycle of G from ``is_bipartite`` and a vertex of H of degree
+at least 2.  Correctness is defined by the verifier: callers (and the test
+suite) re-verify every output.
 
 Index convention: the closed-form route tables below are written with 1-based
 grid coordinates ``(i, j)`` and converted to the 0-based vertex id
@@ -214,25 +217,6 @@ def direct_kts(t: int, s: int) -> Certificate:
     return Certificate(t * s, terminals, connections)
 
 
-def toi_lower_bound_product(op: str, t: int, s: int) -> int:
-    """Provable lower bound on toi of a product of graphs with toi values t, s."""
-    if t < 1 or s < 1:
-        raise ValueError("toi values are at least 1")
-    if op == "cartesian":
-        if max(t, s) >= 4:
-            # cartesian_large, with the factors swapped when s < 4; for
-            # min(t, s) = 1 it is max(t, s), one copy of the larger factor
-            return t + s - 1
-        if t == s == 3:
-            return 4  # cartesian_33
-        return max(t, s)  # one copy of the larger factor
-    if op in ("lexicographic", "lex", "strong"):
-        return t * s  # claimed; no builder in this module backs it yet
-    if op == "direct":
-        return min(t, s)  # the diagonal of K_t x K_s
-    raise ValueError(f"unknown product kind {op!r}")
-
-
 # ---------------------------------------------------------------------------
 # Cartesian product constructions
 # ---------------------------------------------------------------------------
@@ -286,29 +270,6 @@ def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
                 _lift_into_h_fiber(fh.route(j, w), u[i], n_h),
                 _lift_into_h_fiber(fh.route(w, 0), u[i], n_h)])
     return Certificate(t + s - 1, terminals, connections)
-
-
-def cartesian_33(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
-    """K_4 certificate in G [] H from two K_3 factor immersions."""
-    if fg.size != 3 or fh.size != 3:
-        raise ValueError("both factor certificates must be K_3 certificates")
-    n_h = fh.host.n
-    u = fg.cert.terminals
-    v = fh.cert.terminals
-    # terminals: (u_1, v_1), (u_2, v_1), (u_3, v_1), (u_1, v_2)
-    terminals = (u[0] * n_h + v[0], u[1] * n_h + v[0],
-                 u[2] * n_h + v[0], u[0] * n_h + v[1])
-    connections = {}
-    for a, b in ((0, 1), (0, 2), (1, 2)):
-        connections[(a, b)] = _lift_into_g_copy(fg.route(a, b), v[0], n_h)
-    connections[(0, 3)] = _lift_into_h_fiber(fh.route(0, 1), u[0], n_h)
-    for a in (1, 2):
-        # (u_1, v_2) -> row to (u_a, v_2) -> fiber detour v_2 -> v_3 -> v_1
-        connections[(a, 3)] = concatenate_routes([
-            _lift_into_g_copy(fg.route(0, a), v[1], n_h),
-            _lift_into_h_fiber(fh.route(1, 2), u[a], n_h),
-            _lift_into_h_fiber(fh.route(2, 0), u[a], n_h)]).reversed()
-    return Certificate(4, terminals, connections)
 
 
 def _canonical_cycle(cycle):

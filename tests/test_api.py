@@ -16,7 +16,6 @@ PUBLIC_NAMES = [
     "SolveResult",
     "VerificationReport",
     "cartesian_32",
-    "cartesian_33",
     "cartesian_large",
     "cartesian_product",
     "check_conjecture",
@@ -36,14 +35,13 @@ PUBLIC_NAMES = [
     "read_graph_text",
     "serialize_certificate",
     "strong_product",
-    "toi_lower_bound_product",
     "verify",
     "write_graph_text",
 ]
 
 
 def test_public_names_are_pinned():
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 33
     assert sorted(toi.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(toi, name) is not None, name

@@ -640,10 +640,20 @@ def test_certificate_text_round_trip(cert):
     (lambda: Certificate(0, ()), ValueError, "clique size must be positive"),
     (lambda: Certificate(2, (0,)), ValueError,
      "terminal count must equal the clique size"),
+    # a key that is not a 2-tuple is named, not unpacked
+    (lambda: Certificate(3, (0, 1, 2), {(0, 1, 2): Route((0, 1))}), ValueError,
+     "pair (0, 1, 2) is not a valid terminal-index pair"),
+    (lambda: Certificate(2, (0, 1), {(0,): Route((0, 1))}), ValueError,
+     "pair (0,) is not a valid terminal-index pair"),
+    (lambda: Certificate(2, (0, 1), {"ab": Route((0, 1))}), ValueError,
+     "pair ab is not a valid terminal-index pair"),
+    (lambda: Certificate(2, (0, 1), {5: Route((0, 1))}), ValueError,
+     "pair 5 is not a valid terminal-index pair"),
 ], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
         "parse-missing-first", "verify-high",
         "verify-negative", "verify-n", "verify-first", "verify-two",
-        "cert-size", "cert-terminals"])
+        "cert-size", "cert-terminals", "cert-pair-triple", "cert-pair-single",
+        "cert-pair-str", "cert-pair-int"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:
         build()

@@ -273,7 +273,7 @@ def test_construct_incomplete_factor_needs_cert(capsys, files):
     assert "not complete" in err
 
 
-def test_construct_cart_33_with_solver_cert(capsys, files):
+def test_construct_cart_large_with_solver_cert(capsys, files):
     # solver witness as factor certificate
     from toi.certificates import serialize_certificate
     from toi.solver import exact_toi
@@ -282,14 +282,25 @@ def test_construct_cart_33_with_solver_cert(capsys, files):
     cert_path = str(files["dir"] / "c5.cert")
     with open(cert_path, "w") as fh:
         fh.write(serialize_certificate(res.witness))
-    out = str(files["dir"] / "c33.cert")
-    code, _, _ = run(capsys, "construct", "cart-33",
+    out = str(files["dir"] / "c5k4.cert")
+    code, _, _ = run(capsys, "construct", "cart-large",
                      "--g", files["c5"], "--g-cert", cert_path,
-                     "--h", files["c5"], "--h-cert", cert_path,
-                     "-o", out)
+                     "--h", files["k4"], "-o", out)
     assert code == 0
-    host = cartesian_product(cycle_graph(5), cycle_graph(5))
-    assert verify(host, parse_certificate(Path(out).read_text())).all_ok
+    host = cartesian_product(cycle_graph(5), complete_graph(4))
+    cert = parse_certificate(Path(out).read_text())
+    assert cert.clique_size == 3 + 4 - 1
+    assert verify(host, cert).all_ok
+
+
+def test_retired_cart_33_kind_is_an_argparse_error(capsys, files):
+    # cart-32 builds a K_4 in every host the retired kind accepted
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "cart-33", "--g", files["k3"], "--h", files["k3"],
+              "-o", str(files["dir"] / "x.cert")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'cart-33'" in capsys.readouterr().err
+    assert not (files["dir"] / "x.cert").exists()
 
 
 def test_construct_direct_lift_cli(capsys, files):
@@ -364,14 +375,14 @@ def test_nan_time_limit_is_a_usage_error(capsys, files, command):
      "product factors must be nonempty"),
     (["construct", "cart-large", "--g", "{empty}", "--h", "{k4}",
       "-o", "{dir}/x.graph"], "factor graph {empty} is empty"),
-    (["construct", "cart-33", "--g", "{k3}", "--h", "{empty}",
+    (["construct", "cart-large", "--g", "{k3}", "--h", "{empty}",
       "-o", "{dir}/x.graph"], "factor graph {empty} is empty"),
     (["construct", "direct-lift", "--g", "{empty}", "--h", "{k3}",
       "--base", "{dir}/none.cert", "-o", "{dir}/x.graph"],
      "factor graph {empty} is empty"),
     (["construct", "cart-32", "--g", "{c5}", "--h", "{empty}",
       "-o", "{dir}/x.graph"], "product factors must be nonempty"),
-], ids=["solve", "check-conjecture", "product", "cart-large", "cart-33",
+], ids=["solve", "check-conjecture", "product", "cart-large", "cart-large-h",
         "direct-lift", "cart-32"])
 def test_empty_graph_is_a_usage_error(capsys, files, argv, message):
     empty = files["dir"] / "empty.graph"
@@ -406,8 +417,8 @@ _NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start b
     (["construct", "cart-large", "--g", "{k2}", "--h", "{bad}",
       "-o", "{dir}/x.graph"], "graph"),
     (["verify", "{k3}", "{bad}"], "certificate"),
-    (["construct", "cart-33", "--g", "{k3}", "--g-cert", "{bad}",
-      "--h", "{k3}", "-o", "{dir}/x.graph"], "certificate"),
+    (["construct", "cart-large", "--g", "{k3}", "--g-cert", "{bad}",
+      "--h", "{k4}", "-o", "{dir}/x.graph"], "certificate"),
     (["construct", "direct-lift", "--g", "{k3}", "--h", "{k3}",
       "--base", "{bad}", "-o", "{dir}/x.graph"], "certificate"),
 ], ids=["solve", "verify-graph", "product", "construct-factor", "verify-cert",
@@ -454,9 +465,9 @@ def test_construct_rejects_a_factor_certificate_that_fails(capsys, files):
     cert_path = files["dir"] / "bad.cert"
     cert_path.write_text(serialize_certificate(bad))
     out = files["dir"] / "x.cert"
-    code, stdout, err = run(capsys, "construct", "cart-33",
+    code, stdout, err = run(capsys, "construct", "cart-large",
                             "--g", files["k3"], "--g-cert", str(cert_path),
-                            "--h", files["k3"], "-o", str(out))
+                            "--h", files["k4"], "-o", str(out))
     assert (code, stdout) == (2, "")
     assert err.startswith(f"error: factor certificate {cert_path}: ")
     assert not out.exists()

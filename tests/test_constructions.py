@@ -14,12 +14,10 @@ from toi.constructions import (
     _m_route,
     _walk,
     cartesian_32,
-    cartesian_33,
     cartesian_large,
     direct_kts,
     direct_kts_routes,
     direct_lift,
-    toi_lower_bound_product,
 )
 from toi.graphs import (
     Graph,
@@ -244,13 +242,10 @@ _K3 = FactorImmersion.identity(complete_graph(3))
                                                {(0, 1): Route((0, 4, 8))})),
      "base certificate is not a totally odd immersion: "
      "{'all_odd': 'pair (0, 1): route has even length 2'}"),
-    (lambda: toi_lower_bound_product("direct", 0, 3), "toi values are at least 1"),
-    (lambda: toi_lower_bound_product("direct", 3, 0), "toi values are at least 1"),
     (lambda: cartesian_large(FactorImmersion.identity(complete_graph(1)),
                              FactorImmersion.identity(complete_graph(4))),
      "requires t >= 2"),
-], ids=["route-to-itself", "direct-lift-even-base", "lower-bound-t",
-        "lower-bound-s", "cartesian-large-t1"])
+], ids=["route-to-itself", "direct-lift-even-base", "cartesian-large-t1"])
 def test_construction_error_messages(build, message):
     with pytest.raises(ValueError) as err:
         build()
@@ -425,29 +420,6 @@ def test_cartesian_large_requires_s_at_least_4():
         cartesian_large(fg, fh)
 
 
-def test_cartesian_33():
-    fg = FactorImmersion.identity(complete_graph(3))
-    cert = cartesian_33(fg, fg)
-    assert cert.clique_size == 4
-    host = cartesian_product(complete_graph(3), complete_graph(3))
-    rep = verify(host, cert)
-    assert rep.all_ok, rep.first_violation
-
-
-def test_cartesian_33_noncomplete_factors():
-    f = _cycle_factor()
-    cert = cartesian_33(f, f)
-    rep = verify(cartesian_product(cycle_graph(5), cycle_graph(5)), cert)
-    assert rep.all_ok, rep.first_violation
-
-
-def test_cartesian_33_requires_k3_certificates():
-    fg = FactorImmersion.identity(complete_graph(3))
-    fh = FactorImmersion.identity(complete_graph(4))
-    with pytest.raises(ValueError):
-        cartesian_33(fg, fh)
-
-
 @pytest.mark.parametrize("n", [3, 5, 7])
 def test_cartesian_32(n):
     g, h = cycle_graph(n), path_graph(3)
@@ -466,15 +438,13 @@ def test_cartesian_32_figure_route():
 
 
 def test_cartesian_bytes_are_pinned():
-    k3, k4, k5 = (FactorImmersion.identity(complete_graph(n)) for n in (3, 4, 5))
+    k4, k5 = (FactorImmersion.identity(complete_graph(n)) for n in (4, 5))
     c5 = _cycle_factor()
     for cert, digest in [
         (cartesian_large(k4, k5),
          "43c86da70d984881d2ecc43fb180d65c452a2b8cf66adca3edd583d58ad68c90"),
         (cartesian_large(c5, k4),
          "9545605c801d6b203272c80a1f0eb7251aa025075adabe1d897db9d63d67ba3a"),
-        (cartesian_33(c5, k3),
-         "34c0b6c5cf82a755e15cb26395565c7e016fbb05617514c5ab2e174e7f445367"),
         (cartesian_32(cycle_graph(5), path_graph(3)),
          "e88061373a42ebb94c963cbb6a11195e2cea27a87c54117d5ecf8c4ba9b2ae73"),
         (cartesian_32(cycle_graph(9), cycle_graph(4)),
@@ -496,36 +466,44 @@ def test_cartesian_32_rejects_edgeless_second_factor():
         cartesian_32(cycle_graph(5), complete_graph(2))
 
 
-# --- lower bound formulas --------------------------------------------------
+# --- every builder against the exact solver ---------------------------------
 
-def test_lower_bound_formulas():
-    assert toi_lower_bound_product("lex", 3, 4) == 12
-    assert toi_lower_bound_product("strong", 3, 4) == 12
-    assert toi_lower_bound_product("direct", 3, 4) == 3
-    assert toi_lower_bound_product("direct", 2, 5) == 2
-    assert toi_lower_bound_product("direct", 1, 5) == 1
-    assert toi_lower_bound_product("cartesian", 4, 5) == 8
-    assert toi_lower_bound_product("cartesian", 3, 3) == 4
-    assert toi_lower_bound_product("cartesian", 2, 2) == 2
-    assert toi_lower_bound_product("cartesian", 1, 7) == 7
-    # every boundary between the table's cases
-    assert [toi_lower_bound_product("cartesian", t, s) for t, s in
-            [(1, 3), (3, 1), (2, 3), (3, 2), (1, 4), (4, 1), (2, 4), (3, 4)]] \
-        == [3, 3, 3, 3, 4, 4, 5, 6]
-    assert [toi_lower_bound_product("direct", t, s) for t, s in
-            [(2, 2), (5, 3), (7, 4)]] == [2, 3, 4]
-    assert toi_lower_bound_product("lexicographic", 2, 5) == 10
-    with pytest.raises(ValueError):
-        toi_lower_bound_product("tensor", 2, 2)
+def _identity_cartesian_large(g, h):
+    return cartesian_large(FactorImmersion.identity(g), FactorImmersion.identity(h))
 
 
-@pytest.mark.parametrize("op,builder", [
-    ("cartesian", cartesian_product),
-    ("direct", direct_product),
-])
-@pytest.mark.parametrize("t,s", [(2, 2), (2, 3), (3, 3)])
-def test_lower_bounds_hold_on_small_complete_products(op, builder, t, s):
-    host = builder(complete_graph(t), complete_graph(s))
+def _lift_k3_grid_witness(g, h):
+    """direct_lift of the solver's K_4 witness in K_3 x K_3, on the factors'
+    solver witnesses."""
+    base = exact_toi(direct_product(complete_graph(3), complete_graph(3))).witness
+    fg, fh = (FactorImmersion(f, exact_toi(f).witness) for f in (g, h))
+    return direct_lift(fg, fh, base)
+
+
+# toi is 4, 4, 4, 5, 5, 5, 6, 6, 4, 5 in row order: cartesian_32 falls one
+# short on C5 [] K3 and K3 [] C4, and the lift on C5 x C5.  direct_lift
+# guarantees only a totally odd immersion; these two lifts are also strong.
+@pytest.mark.parametrize("product, g, h, build", [
+    (cartesian_product, complete_graph(3), complete_graph(3), cartesian_32),
+    (cartesian_product, cycle_graph(5), path_graph(3), cartesian_32),
+    (cartesian_product, complete_graph(3), path_graph(3), cartesian_32),
+    (cartesian_product, cycle_graph(5), complete_graph(3), cartesian_32),
+    (cartesian_product, complete_graph(3), cycle_graph(4), cartesian_32),
+    (cartesian_product, complete_graph(2), complete_graph(4),
+     _identity_cartesian_large),
+    (cartesian_product, complete_graph(3), complete_graph(4),
+     _identity_cartesian_large),
+    (cartesian_product, complete_graph(2), complete_graph(5),
+     _identity_cartesian_large),
+    (direct_product, complete_graph(3), complete_graph(3), _lift_k3_grid_witness),
+    (direct_product, cycle_graph(5), cycle_graph(5), _lift_k3_grid_witness),
+], ids=["cart-32-K3-K3", "cart-32-C5-P3", "cart-32-K3-P3", "cart-32-C5-K3",
+        "cart-32-K3-C4", "cart-large-K2-K4", "cart-large-K3-K4",
+        "cart-large-K2-K5", "direct-lift-K3-K3", "direct-lift-C5-C5"])
+def test_builders_stay_within_the_exact_value(product, g, h, build):
+    host = product(g, h)
+    cert = build(g, h)
+    assert verify(host, cert).satisfies("totally-odd-strong")
     res = exact_toi(host)
     assert res.status == "exact"
-    assert res.value >= toi_lower_bound_product(op, t, s)
+    assert cert.clique_size <= res.value

@@ -84,12 +84,15 @@ def test_odd_cycle_witness_uses_whole_cycle():
 
 
 def test_bipartite_graphs_capped_at_two():
+    # each has an edge, so toi is exactly 2
     for g in (cycle_graph(6), path_graph(5),
-              cartesian_product(complete_graph(2), complete_graph(2))):
+              cartesian_product(complete_graph(2), complete_graph(2)),
+              direct_product(complete_graph(2), complete_graph(2)),
+              direct_product(complete_graph(2), complete_graph(3))):
         assert is_bipartite(g)[0]
         res = exact_toi(g)
         assert res.status == "exact"
-        assert res.value <= 2
+        assert res.value == 2
 
 
 def test_max_t_asks_a_single_level():
