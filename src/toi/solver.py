@@ -2,7 +2,13 @@
 
 Exhaustive backtracking over terminal subsets and edge-disjoint odd route
 systems, with degree-eligibility, bipartiteness, edge-budget, symmetry and
-forward-check pruning and a table of refuted search states.  The chromatic
+forward-check pruning and a table of refuted search states.  The forward
+check cuts a route state where some unrouted pair has no odd walk left, or
+where the unrouted pairs' shortest odd walks need more edges off the
+terminals than are free: a route of odd length L >= 3 keeps its interior
+off the terminals, so L - 2 of its edges join two non-terminals, and it is
+itself such a walk, so L is at least the pair's shortest one; routes share
+no edge, so the sum of these counts must fit in the free ones.  The chromatic
 number is found by DSATUR-ordered backtracking for k-colourings between a
 clique lower bound and a DSATUR upper bound.
 This module is the independent brute-force oracle for the constructions: any
@@ -220,11 +226,18 @@ class _ToiSearch:
 
         Forward check.  Before a pair is routed, every unrouted pair must
         still have an odd walk on free edges with no terminal in its
-        interior (:func:`_odd_walks`); if one has none, the branch is cut
-        here instead of at that pair's level.  Proof: a strong odd route on
-        free edges, simple or a trail, is such a walk, so a pair without one
-        has no route in any completion of ``chosen``.  The walk
-        ignores the route cap, so the check only cuts subtrees with no
+        interior, and the sum over those pairs of max(l - 2, 0), l the
+        length of the pair's shortest such walk (:func:`_odd_walks`), must
+        not exceed ``spare``, the free edges with both ends off the
+        terminals; else the branch is cut here instead of at some pair's
+        level.  Proof: a strong odd route on free edges, simple or a trail,
+        is such a walk, so a pair without one has no route in any
+        completion of ``chosen``, and a pair's route has L >= l edges.  For
+        L >= 3 its interior holds no terminal, so its L - 2 middle edges
+        join two non-terminals, and as routes share no edge, a completion
+        takes at least the sum of spare edges.  ``spare`` is kept per
+        frame: a route of L edges takes max(L - 2, 0) of them.  The walks
+        ignore the route cap, so the check only cuts subtrees with no
         solution with or without the cap; the DFS order, the first witness
         and its bytes are unchanged, and ``cap_pruned`` can only be set
         less often, which makes a status no weaker.
@@ -233,15 +246,22 @@ class _ToiSearch:
         forward check cut, leaves its ``free`` in ``refuted``; a state found
         there is dropped at once, as if cut.  ``free`` alone fixes the pair
         index: by the count above, the terminals have spent two edges per
-        routed pair between them.  Proof: below a frame, :meth:`_routes`,
-        :func:`_odd_walks` and the route cap read only ``free``, the fixed
-        terminals and the fixed pair order, so a revisit would repeat the
-        same subtree, which holds no completion and sets ``cap_pruned``
-        only if the first visit already did.  Only the node count falls.
-        Inserts stop at ``_REFUTED_CAP`` entries."""
+        routed pair between them, and it fixes ``spare``, the free edges
+        off the terminals.  Proof: below a frame, :meth:`_routes`,
+        :func:`_odd_walks`, ``spare`` and the route cap read only ``free``,
+        the fixed terminals and the fixed pair order, so a revisit would
+        repeat the same subtree, which holds no completion and sets
+        ``cap_pruned`` only if the first visit already did.  Only the node
+        count falls.  Inserts stop at ``_REFUTED_CAP`` entries."""
         frames = []
         chosen = []  # the current route of each frame
         free = self.adj_mask
+        # free edges with both ends off the terminals: m, less the edges at
+        # a terminal, counting an edge between two terminals once
+        spare = 2 * self.g.m
+        for v in subset:
+            spare -= 2 * self.degree[v] - (free[v] & terminals).bit_count()
+        spare //= 2
         refuted = set()  # the free of each used-up frame
         while len(frames) < len(pairs):
             a, b = pairs[len(frames)]
@@ -249,19 +269,20 @@ class _ToiSearch:
             if free not in refuted:
                 # the pairs from (a, b) on are (a, b') for b' >= b, then
                 # every pair of a later row
-                cut = -(1 << subset[b])
+                cut, budget = -(1 << subset[b]), spare
                 for s in subset[a:-1]:
-                    if not _odd_walks(s, terminals & -(2 << s) & cut, free,
-                                      terminals):
+                    excess = _odd_walks(s, terminals & -(2 << s) & cut, free,
+                                        terminals)
+                    if excess is None or excess > budget:
                         break
-                    cut = -1
+                    cut, budget = -1, budget - excess
                 else:
                     routes = self._routes(subset[a], subset[b], free, terminals)
-            frames.append((routes, free))
+            frames.append((routes, free, spare))
             # move the deepest frame to its next route, dropping the frames
             # whose routes are used up
             while frames:
-                routes, free = frames[-1]
+                routes, free, spare = frames[-1]
                 route = next(routes, None)
                 if route is not None:
                     break
@@ -272,6 +293,9 @@ class _ToiSearch:
                 return None
             del chosen[len(frames) - 1:]
             chosen.append(route)
+            # a route of L >= 3 edges takes L - 2 edges off the terminals
+            if len(route) > 2:
+                spare -= len(route) - 3
             free = list(free)
             for u, w in zip(route, route[1:]):
                 free[u] &= ~(1 << w)
@@ -332,26 +356,34 @@ def _verified(g: Graph, cert: Certificate) -> Certificate:
     return cert
 
 
-def _odd_walks(src, need, free, terminals) -> bool:
-    """True when every vertex in ``need`` is joined to ``src`` by an odd
-    walk on the edges in ``free`` whose interior avoids ``terminals``;
-    BFS over (vertex, parity), one reach mask per parity."""
+def _odd_walks(src, need, free, terminals) -> Optional[int]:
+    """The sum of max(l - 2, 0) over the vertices y in ``need``, where l is
+    the length of a shortest odd walk from ``src`` to y on the edges in
+    ``free`` whose interior avoids ``terminals``; None when some y has no
+    such walk.  BFS over (vertex, parity), one reach mask per parity: y
+    enters the odd mask at layer l, and the BFS stops once all of ``need``
+    has entered it."""
     odd, even = free[src], 0
-    frontier, parity = odd & ~terminals, 1
-    while need & ~odd:
+    frontier, need = odd & ~terminals, need & ~odd
+    excess, length = 0, 1
+    while need:
         if not frontier:
-            return False
+            return None
         reach = 0
         while frontier:
             low = frontier & -frontier
             reach |= free[low.bit_length() - 1]
             frontier ^= low
-        if parity:
-            reach, even = reach & ~even, even | reach
-        else:
+        length += 1
+        if length & 1:
             reach, odd = reach & ~odd, odd | reach
-        frontier, parity = reach & ~terminals, 1 - parity
-    return True
+            if reach & need:
+                excess += (reach & need).bit_count() * (length - 2)
+                need &= ~reach
+        else:
+            reach, even = reach & ~even, even | reach
+        frontier = reach & ~terminals
+    return excess
 
 
 def _eligibility_bound(g: Graph) -> int:

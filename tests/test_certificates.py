@@ -649,11 +649,19 @@ def test_certificate_text_round_trip(cert):
      "pair ab is not a valid terminal-index pair"),
     (lambda: Certificate(2, (0, 1), {5: Route((0, 1))}), ValueError,
      "pair 5 is not a valid terminal-index pair"),
+    # a 2-tuple key whose entries do not compare with ints is named too
+    (lambda: Certificate(2, (0, 1), {("a", "b"): Route((0, 1))}), ValueError,
+     "pair ('a', 'b') is not a valid terminal-index pair"),
+    (lambda: Certificate(2, (0, 1), {(0, "b"): Route((0, 1))}), ValueError,
+     "pair (0, 'b') is not a valid terminal-index pair"),
+    (lambda: Certificate(2, (0, 1), {(None, 1): Route((0, 1))}), ValueError,
+     "pair (None, 1) is not a valid terminal-index pair"),
 ], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
         "parse-missing-first", "verify-high",
         "verify-negative", "verify-n", "verify-first", "verify-two",
         "cert-size", "cert-terminals", "cert-pair-triple", "cert-pair-single",
-        "cert-pair-str", "cert-pair-int"])
+        "cert-pair-str", "cert-pair-int", "cert-pair-str-pair",
+        "cert-pair-str-second", "cert-pair-none"])
 def test_error_messages(build, error, message):
     with pytest.raises(error) as err:
         build()

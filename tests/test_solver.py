@@ -31,6 +31,7 @@ from toi.solver import (
     _Ticker,
     _constructed_witness,
     _factor_maps,
+    _odd_walks,
     _product_automorphisms,
     _ToiSearch,
     check_conjecture,
@@ -165,7 +166,7 @@ def test_complete_refutation_above_a_capped_level_proves_the_upper_end():
     g = Graph(7, frozenset([(0, 1), (0, 3), (0, 6), (1, 2), (1, 5), (2, 4),
                             (3, 5), (4, 5), (4, 6)]))
     res = exact_toi(g, SearchBudget(max_route_length=1))
-    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 74)
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 67)
     assert hashlib.sha256(serialize_certificate(res.witness).encode()
                           ).hexdigest().startswith("903f6cb6b542")
     assert (exact_toi(g).value, exact_toi(g).status) == (3, "exact")
@@ -244,22 +245,30 @@ def _differential_graphs():
         yield Graph(n, frozenset(e for e in pairs[n] if rng.random() < density))
 
 
-def _assert_rule_changes_no_answer(monkeypatch, owner, name, off):
-    """Solve the differential graphs with a pruning rule, then again with
+def _assert_rule_changes_no_answer(monkeypatch, owner, name, off,
+                                   graphs=None, caps=(None,)):
+    """Solve ``graphs`` (the differential graphs by default) under each
+    route cap in ``caps`` with a pruning rule, then again with
     ``owner.name`` replaced by ``off``, which turns the rule off: value and
     witness bytes must match, a status may only get stronger with the rule,
-    and the rule never adds nodes."""
-    graphs = list(_differential_graphs())
-    pruned = [exact_toi(g) for g in graphs]
+    and the rule never adds nodes.  Returns, per cap, the number of graphs
+    on which the rule saved nodes."""
+    graphs = list(_differential_graphs() if graphs is None else graphs)
+    budgets = [SearchBudget(max_route_length=cap) for cap in caps]
+    pruned = [[exact_toi(g, b) for b in budgets] for g in graphs]
     monkeypatch.setattr(owner, name, off)
-    for g, fast in zip(graphs, pruned):
-        slow = exact_toi(g)
-        assert fast.value == slow.value
-        assert serialize_certificate(fast.witness) == \
-            serialize_certificate(slow.witness)
-        assert fast.status == slow.status or (
-            fast.status, slow.status) == ("exact", "lower-bound-only")
-        assert fast.nodes_explored <= slow.nodes_explored
+    saved = [0] * len(budgets)
+    for g, results in zip(graphs, pruned):
+        for i, (budget, fast) in enumerate(zip(budgets, results)):
+            slow = exact_toi(g, budget)
+            assert fast.value == slow.value
+            assert serialize_certificate(fast.witness) == \
+                serialize_certificate(slow.witness)
+            assert fast.status == slow.status or (
+                fast.status, slow.status) == ("exact", "lower-bound-only")
+            assert fast.nodes_explored <= slow.nodes_explored
+            saved[i] += fast.nodes_explored < slow.nodes_explored
+    return saved
 
 
 def test_edge_budget_bound_changes_no_answer(monkeypatch):
@@ -270,9 +279,56 @@ def test_edge_budget_bound_changes_no_answer(monkeypatch):
 
 
 def test_forward_check_changes_no_answer(monkeypatch):
-    # the check only cuts branches without a completion
+    # the check only cuts branches without a completion; 0 turns off both
+    # of its parts: every walk is found, and none needs a spare edge
     _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_odd_walks",
-                                   lambda src, need, free, terminals: True)
+                                   lambda src, need, free, terminals: 0)
+
+
+def _reachability_only(src, need, free, terminals):
+    """:func:`_odd_walks` with the distance sum off: 0 wherever every walk
+    is found."""
+    return None if _odd_walks(src, need, free, terminals) is None else 0
+
+
+def test_distance_sum_changes_no_answer(monkeypatch):
+    # the sum only cuts states without a completion; reachability stays on
+    saved = _assert_rule_changes_no_answer(monkeypatch, toi.solver,
+                                           "_odd_walks", _reachability_only)
+    assert saved[0]
+
+
+def test_distance_sum_keeps_capped_answers(monkeypatch):
+    # the walks ignore the route cap, so under a cap the sum also cuts only
+    # states with no completion, and a cap prune it skips makes a status
+    # no weaker
+    saved = _assert_rule_changes_no_answer(
+        monkeypatch, toi.solver, "_odd_walks", _reachability_only,
+        itertools.chain(_differential_graphs(), _table_hosts()), (None, 1, 3))
+    assert all(saved), saved
+
+
+def test_distance_sum_cuts_where_every_pair_has_a_walk(monkeypatch):
+    # terminals 0, 3, 4: (0, 3) is an edge, the shortest odd walks of
+    # (0, 4) and (3, 4) are 0-6-2-4 and 3-1-5-2-6-4, so the pairs need
+    # 0 + 1 + 3 edges off the terminals, where there are three (1-5, 2-5,
+    # 2-6); every pair has a walk, and only the sum cuts the root state
+    g = Graph(7, frozenset([(0, 3), (0, 6), (1, 3), (1, 5), (2, 4), (2, 5),
+                            (2, 6), (4, 6)]))
+    subset, terminals = (0, 3, 4), 1 | 1 << 3 | 1 << 4
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    free = g._adjacency_masks
+    assert _odd_walks(0, 1 << 3 | 1 << 4, free, terminals) == 1
+    assert _odd_walks(3, 1 << 4, free, terminals) == 3
+    search = _ToiSearch(g, SearchBudget())
+    assert not search._edge_budget_refutes(subset)
+    assert search._assign(subset, terminals, pairs) is None
+    assert search.ticker.nodes == 0
+    # with reachability alone, the route search has to find out
+    monkeypatch.setattr(toi.solver, "_odd_walks", _reachability_only)
+    search = _ToiSearch(g, SearchBudget())
+    assert search._assign(subset, terminals, pairs) is None
+    assert search.ticker.nodes == 10
 
 
 def test_refuted_state_table_changes_no_answer(monkeypatch):
@@ -318,8 +374,8 @@ def test_refuted_state_table_keeps_capped_answers(monkeypatch):
 def test_refuted_state_table_cap(monkeypatch):
     # a full table stops taking entries: the answer holds, and the node
     # count lies between the full-table and the no-table count (the full
-    # table takes under 2,000 entries on this host)
-    host = direct_product(cycle_graph(5), cycle_graph(5))
+    # table takes under 1,000 entries on this host)
+    host = cartesian_product(complete_graph(3), cycle_graph(7))
     tables = {}
     routes = _ToiSearch._routes
 
@@ -336,14 +392,14 @@ def test_refuted_state_table_cap(monkeypatch):
         tables.clear()
         res = exact_toi(host)
         assert (res.value, res.status) == (5, "exact")
-        assert _witness_sha(res).startswith("ecd58c8174d4")
+        assert _witness_sha(res).startswith("a42a7c0bc638")
         for table in tables.values():
             assert len(table) <= cap
             for free in table:
                 assert type(free) is tuple
                 assert all(type(mask) is int for mask in free)
         counts[cap] = res.nodes_explored
-    assert counts[0] == 20947
+    assert counts[0] == 11143
     assert counts[toi.solver._REFUTED_CAP] < counts[512] < counts[0]
 
 
@@ -381,7 +437,7 @@ def test_path_reversal_prunes_the_search():
     # i -> k - 1 - i is the one automorphism a path factor contributes
     g = strong_product(cycle_graph(4), path_graph(3))
     res = exact_toi(g)
-    assert (res.value, res.status, res.nodes_explored) == (6, "exact", 277)
+    assert (res.value, res.status, res.nodes_explored) == (6, "exact", 232)
 
 
 def test_unlabelled_graph_has_no_automorphisms():
@@ -577,20 +633,20 @@ def mycielski(k):
 # deterministic, and a change to the search order or a bound shows here first
 EXACT_TOI_NODES = {
     "cart-K3-K3": (cartesian_product(complete_graph(3), complete_graph(3)),
-                   4, 228),
+                   4, 208),
     "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
-                     4, 229),
+                     4, 209),
     "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
-                   6, 1049),
-    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 17278),
-    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 480),
+                   6, 661),
+    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 222),
+    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 402),
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
-                     6, 4565),
+                     6, 2390),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
                      9, 0),
     "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
                   6, 0),
-    "mycielski-4": (mycielski(4), 4, 355),
+    "mycielski-4": (mycielski(4), 4, 214),
 }
 
 
@@ -839,18 +895,18 @@ def test_check_conjecture_shares_one_time_limit(monkeypatch):
 
 @pytest.mark.parametrize("max_nodes, toi_nodes, chi_nodes", [
     (100, 100, 0),   # toi times out: None at once, chromatic_number never runs
-    (138, 138, 0),   # toi refutes level 4 with all of it: chi times out at 0
-    (145, 138, 7),   # chi needs 11 and gets only what toi left
-    (149, 138, 11),
+    (113, 113, 0),   # toi refutes level 4 with all of it: chi times out at 0
+    (120, 113, 7),   # chi needs 11 and gets only what toi left
+    (124, 113, 11),
 ])
 def test_check_conjecture_shares_one_node_budget(max_nodes, toi_nodes, chi_nodes):
     rep = check_conjecture(DSATUR_SUBOPTIMAL[0], SearchBudget(max_nodes=max_nodes))
     assert rep.chi.nodes_explored + rep.toi.nodes_explored <= max_nodes
     assert (rep.toi.nodes_explored, rep.chi.nodes_explored) == (toi_nodes, chi_nodes)
     assert rep.toi.status == ("timeout" if max_nodes == 100 else "exact")
-    assert rep.chi.status == {100: "upper-bound-only", 149: "exact"}.get(
+    assert rep.chi.status == {100: "upper-bound-only", 124: "exact"}.get(
         max_nodes, "timeout")
-    assert rep.satisfied is (True if max_nodes == 149 else None)
+    assert rep.satisfied is (True if max_nodes == 124 else None)
 
 
 def test_check_conjecture_witness_path_runs_no_chromatic_search(monkeypatch):
@@ -859,12 +915,12 @@ def test_check_conjecture_witness_path_runs_no_chromatic_search(monkeypatch):
         raise AssertionError("chromatic_number ran")
 
     monkeypatch.setattr(toi.solver, "chromatic_number", no_chi)
-    # mycielski(4): the old check spent 32 chi nodes and 355 toi nodes
-    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=349))
+    # mycielski(4): the old check spent 32 chi nodes and 214 toi nodes
+    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=208))
     assert rep.satisfied is True
     assert rep.chi == SolveResult(4, None, "upper-bound-only", 0)
     assert (rep.toi.value, rep.toi.status, rep.toi.nodes_explored) == (
-        4, "lower-bound-only", 349)
+        4, "lower-bound-only", 208)
 
 
 def test_check_conjecture_falls_back_to_chromatic_number(monkeypatch):
@@ -1036,13 +1092,13 @@ def test_construction_changes_no_verdict(monkeypatch):
     # all 5-vertex graphs and the 3,000 sweep graphs of seed 321: toi and
     # its status, chi's value and the verdict match the search alone, and
     # no graph spends more nodes; 2,956 sweep graphs now spend none, where
-    # the search alone spent 30,368 of its 31,095 nodes
+    # the search alone spent 30,347 of its 31,068 nodes
     graphs = list(itertools.chain(_all_graphs(5), _sweep_graphs(321, 3_000)))
     built = [check_conjecture(g) for g in graphs]
     # every output byte of these 4,024 reports, witnesses and colourings
     # included
     assert _reports_digest(built) == (
-        "3f90be8fb91cf1e8520509f97831ad5c415c70a42938379f40bb0bbaa34e66f8")
+        "7d69e7ab7d0aa127a86f27f2c5f5a804fec8074a288f67370a47796d671fd4a9")
     # a one-terminal bound makes every call search down from its upper
     # bound, as before the construction
     monkeypatch.setattr(toi.solver, "_constructed_witness",
@@ -1061,7 +1117,7 @@ def test_construction_changes_no_verdict(monkeypatch):
             total += old_nodes
             if not new_nodes:
                 settled, saved = settled + 1, saved + old_nodes
-    assert (settled, saved, total) == (2_956, 30_368, 31_095)
+    assert (settled, saved, total) == (2_956, 30_347, 31_068)
 
 
 def test_chi_is_exact_exactly_when_the_clique_meets_k():
