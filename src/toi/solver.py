@@ -8,9 +8,10 @@ where the unrouted pairs' shortest odd walks need more edges off the
 terminals than are free: a route of odd length L >= 3 keeps its interior
 off the terminals, so L - 2 of its edges join two non-terminals, and it is
 itself such a walk, so L is at least the pair's shortest one; routes share
-no edge, so the sum of these counts must fit in the free ones.  The chromatic
-number is found by DSATUR-ordered backtracking for k-colourings between a
-clique lower bound and a DSATUR upper bound.
+no edge, so the sum of these counts must fit in the free ones, and what it
+leaves bounds the length of the next route.  The chromatic number is found
+by DSATUR-ordered backtracking for k-colourings between a clique lower
+bound and a DSATUR upper bound.
 This module is the independent brute-force oracle for the constructions: any
 witness it returns is re-verified before being handed out, and a definitive
 absence is only reported when the search space was fully enumerated.
@@ -139,7 +140,7 @@ class _ToiSearch:
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
-    def _routes(self, src: int, dst: int, free, terminals: int):
+    def _routes(self, src: int, dst: int, free, terminals: int, longest=None):
         """Yield simple odd routes from src to dst, src < dst, as vertex
         tuples, on the edges in ``free`` (``free[v]`` masks v's neighbours
         across a free edge) and with no vertex of ``terminals`` (a bit mask)
@@ -148,8 +149,13 @@ class _ToiSearch:
         path and off the terminals but dst, the path so far and the vertices
         the path may not enter; each frame is one search node.  A simple
         route never re-enters a path vertex, so it never retakes one of its
-        own edges: ``free`` is all the edge state it needs."""
-        cap, tick = self.cap, self.ticker.tick
+        own edges: ``free`` is all the edge state it needs.  A step to w != dst
+        is taken only while len(path) < min(cap, ``longest``): a route through
+        w has over len(path) edges.  Only a cap below ``longest``, which cuts
+        no completion (:meth:`_assign`), sets ``cap_pruned``."""
+        tick = self.ticker.tick
+        blame = longest is None or self.cap < longest
+        limit = self.cap if blame else longest
         tick()
         avoid = terminals & ~(1 << dst)
         frames = [(free[src] & ~avoid, (src,), avoid)]
@@ -163,8 +169,8 @@ class _ToiSearch:
                     if len(path) % 2:  # the route has len(path) edges
                         yield path + (w,)
                     continue
-                if len(path) >= cap:
-                    self.cap_pruned = True
+                if len(path) >= limit:
+                    self.cap_pruned |= blame
                     continue
                 tick()
                 frames.append((cands, path, avoid))
@@ -236,11 +242,15 @@ class _ToiSearch:
         L >= 3 its interior holds no terminal, so its L - 2 middle edges
         join two non-terminals, and as routes share no edge, a completion
         takes at least the sum of spare edges.  ``spare`` is kept per
-        frame: a route of L edges takes max(L - 2, 0) of them.  The walks
-        ignore the route cap, so the check only cuts subtrees with no
-        solution with or without the cap; the DFS order, the first witness
-        and its bytes are unchanged, and ``cap_pruned`` can only be set
-        less often, which makes a status no weaker.
+        frame: a route of L edges takes max(L - 2, 0) of them.  So the pair
+        p being routed has max(L - 2, 0) <= budget + e_p, where budget is
+        ``spare`` less the sum and e_p is p's own term, which the row-a walk
+        reports (subset[b] is its lowest need): :meth:`_routes` gets the
+        largest such odd L as ``longest``.  The walks ignore the route cap,
+        so the check and the bound only cut subtrees with no solution with
+        or without the cap; the DFS order, the first witness and its bytes
+        are unchanged, and ``cap_pruned`` can only be set less often, which
+        makes a status no weaker.
 
         Refuted states.  A frame whose routes are used up, or that the
         forward check cut, leaves its ``free`` in ``refuted``; a state found
@@ -248,10 +258,10 @@ class _ToiSearch:
         index: by the count above, the terminals have spent two edges per
         routed pair between them, and it fixes ``spare``, the free edges
         off the terminals.  Proof: below a frame, :meth:`_routes`,
-        :func:`_odd_walks`, ``spare`` and the route cap read only ``free``,
-        the fixed terminals and the fixed pair order, so a revisit would
-        repeat the same subtree, which holds no completion and sets
-        ``cap_pruned`` only if the first visit already did.  Only the node
+        :func:`_odd_walks`, ``spare``, ``longest`` and the route cap read
+        only ``free``, the fixed terminals and the fixed pair order, so a
+        revisit would repeat the same subtree, which holds no completion
+        and sets ``cap_pruned`` only if the first visit did.  Only the node
         count falls.  Inserts stop at ``_REFUTED_CAP`` entries."""
         frames = []
         chosen = []  # the current route of each frame
@@ -271,13 +281,16 @@ class _ToiSearch:
                 # every pair of a later row
                 cut, budget = -(1 << subset[b]), spare
                 for s in subset[a:-1]:
-                    excess = _odd_walks(s, terminals & -(2 << s) & cut, free,
-                                        terminals)
-                    if excess is None or excess > budget:
+                    walks = _odd_walks(s, terminals & -(2 << s) & cut, free,
+                                       terminals)
+                    if walks is None or walks[0] > budget:
                         break
-                    cut, budget = -1, budget - excess
+                    if cut != -1:  # row a: subset[b] is its lowest need
+                        own = walks[1]
+                    cut, budget = -1, budget - walks[0]
                 else:
-                    routes = self._routes(subset[a], subset[b], free, terminals)
+                    routes = self._routes(subset[a], subset[b], free, terminals,
+                                          (1 + budget + own) | 1)
             frames.append((routes, free, spare))
             # move the deepest frame to its next route, dropping the frames
             # whose routes are used up
@@ -314,10 +327,9 @@ class _ToiSearch:
             twice_adjacent += (self.adj_mask[v] & subset_mask).bit_count()
             degree_sum += self.degree[v]
         t = len(subset)
-        far = t * (t - 1) // 2 - twice_adjacent // 2
-        terminal_other = degree_sum - twice_adjacent
-        other_other = self.g.m - twice_adjacent // 2 - terminal_other
-        return 2 * far > terminal_other or far > other_other
+        # C(t, 2) - A far pairs, A = twice_adjacent / 2 the adjacent ones,
+        # against m - (degree_sum - 2A) - A edges off the terminals
+        return t * (t - 1) // 2 > self.g.m - degree_sum + twice_adjacent
 
 
 def _factor_maps(k: int) -> list:
@@ -356,16 +368,17 @@ def _verified(g: Graph, cert: Certificate) -> Certificate:
     return cert
 
 
-def _odd_walks(src, need, free, terminals) -> Optional[int]:
+def _odd_walks(src, need, free, terminals) -> Optional[tuple]:
     """The sum of max(l - 2, 0) over the vertices y in ``need``, where l is
     the length of a shortest odd walk from ``src`` to y on the edges in
-    ``free`` whose interior avoids ``terminals``; None when some y has no
-    such walk.  BFS over (vertex, parity), one reach mask per parity: y
-    enters the odd mask at layer l, and the BFS stops once all of ``need``
-    has entered it."""
+    ``free`` whose interior avoids ``terminals``, and that term for the
+    lowest y alone; None when some y has no such walk.  BFS over (vertex,
+    parity), one reach mask per parity: y enters the odd mask at layer l,
+    and the BFS stops once all of ``need`` has entered it."""
     odd, even = free[src], 0
+    first = need & -need
     frontier, need = odd & ~terminals, need & ~odd
-    excess, length = 0, 1
+    excess, own, length = 0, 0, 1
     while need:
         if not frontier:
             return None
@@ -379,11 +392,13 @@ def _odd_walks(src, need, free, terminals) -> Optional[int]:
             reach, odd = reach & ~odd, odd | reach
             if reach & need:
                 excess += (reach & need).bit_count() * (length - 2)
+                if reach & first:
+                    own = length - 2
                 need &= ~reach
         else:
             reach, even = reach & ~even, even | reach
         frontier = reach & ~terminals
-    return excess
+    return excess, own
 
 
 def _eligibility_bound(g: Graph) -> int:
@@ -411,17 +426,17 @@ def exact_toi(g: Graph, budget: Optional[SearchBudget] = None,
     in G and F = C(t, 2) - A non-adjacent ("far") pairs.  Let
     E_TN = sum of deg(v) over T, minus 2A, be the number of edges from T to
     the other vertices N, and E_NN = m - A - E_TN the number of edges inside
-    N.  If 2F > E_TN or F > E_NN, T carries no totally odd strong K_t
-    immersion, and the search skips it.  Proof: the route of a far pair is
-    odd and not a single edge, so it has length at least 3.  Strongness
-    keeps terminals out of its interior, so its first and last edges join T
-    to N and its remaining edges, an odd number and at least one, lie inside
-    N.  Routes are edge-disjoint, so these edges are distinct over all far
-    pairs: the far pairs alone need 2F edges between T and N and F edges
-    inside N.  The argument uses no simplicity, so it holds for trails as
-    well as for simple paths.  A skipped set has no solution, so the search
-    order, the first witness found and its bytes are the same as without
-    the bound.
+    N.  If F > E_NN, T carries no totally odd strong K_t immersion, and the
+    search skips it.  Proof: the route of a far pair is odd and not a
+    single edge, so it has length at least 3.  Strongness keeps terminals
+    out of its interior, so its first and last edges join T to N and the
+    rest, at least one, lie inside N.  Routes are edge-disjoint, so the far
+    pairs need F edges inside N and 2F between T and N; the search takes
+    only terminals of degree at least t - 1, so E_TN >= t(t - 1) - 2A = 2F
+    and only F > E_NN can cut.  The argument uses no simplicity, so it
+    holds for trails as well as for simple paths.  A skipped set has no
+    solution, so the search order, the first witness found and its bytes
+    are the same as without the bound.
     """
     if g.n == 0:
         raise ValueError("graph must be nonempty")

@@ -279,16 +279,16 @@ def test_edge_budget_bound_changes_no_answer(monkeypatch):
 
 
 def test_forward_check_changes_no_answer(monkeypatch):
-    # the check only cuts branches without a completion; 0 turns off both
-    # of its parts: every walk is found, and none needs a spare edge
+    # the check only cuts branches without a completion; (0, 0) turns off
+    # both of its parts: every walk is found, and none needs a spare edge
     _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_odd_walks",
-                                   lambda src, need, free, terminals: 0)
+                                   lambda src, need, free, terminals: (0, 0))
 
 
 def _reachability_only(src, need, free, terminals):
-    """:func:`_odd_walks` with the distance sum off: 0 wherever every walk
-    is found."""
-    return None if _odd_walks(src, need, free, terminals) is None else 0
+    """:func:`_odd_walks` with the distance sum off: (0, 0) wherever every
+    walk is found."""
+    return None if _odd_walks(src, need, free, terminals) is None else (0, 0)
 
 
 def test_distance_sum_changes_no_answer(monkeypatch):
@@ -318,17 +318,77 @@ def test_distance_sum_cuts_where_every_pair_has_a_walk(monkeypatch):
     subset, terminals = (0, 3, 4), 1 | 1 << 3 | 1 << 4
     pairs = [(0, 1), (0, 2), (1, 2)]
     free = g._adjacency_masks
-    assert _odd_walks(0, 1 << 3 | 1 << 4, free, terminals) == 1
-    assert _odd_walks(3, 1 << 4, free, terminals) == 3
+    # each walk also reports its lowest need's own term: (0, 3) is an edge
+    assert _odd_walks(0, 1 << 3 | 1 << 4, free, terminals) == (1, 0)
+    assert _odd_walks(3, 1 << 4, free, terminals) == (3, 3)
     search = _ToiSearch(g, SearchBudget())
     assert not search._edge_budget_refutes(subset)
     assert search._assign(subset, terminals, pairs) is None
     assert search.ticker.nodes == 0
-    # with reachability alone, the route search has to find out
+    # with reachability alone, the route search has to find out (the
+    # length bound it keeps, from the 3 spare edges, is 5)
     monkeypatch.setattr(toi.solver, "_odd_walks", _reachability_only)
     search = _ToiSearch(g, SearchBudget())
     assert search._assign(subset, terminals, pairs) is None
     assert search.ticker.nodes == 10
+
+
+_ROUTES = _ToiSearch._routes
+
+
+def _routes_without_bound(self, src, dst, free, terminals, longest=None):
+    """:meth:`_ToiSearch._routes` with the length bound off: the route cap
+    alone limits the walk."""
+    return _ROUTES(self, src, dst, free, terminals)
+
+
+def test_route_length_bound_changes_no_answer(monkeypatch):
+    # the bound only cuts routes that no completion can afford; the forward
+    # check and its distance sum stay on
+    saved = _assert_rule_changes_no_answer(monkeypatch, _ToiSearch, "_routes",
+                                           _routes_without_bound)
+    assert saved[0]
+
+
+def test_route_length_bound_keeps_capped_answers(monkeypatch):
+    # a step the bound cuts is never blamed on the cap, so under a cap a
+    # status gets no weaker; under cap 1 the limit min(cap, longest) is 1
+    # whatever the bound, so it saves no node there
+    saved = _assert_rule_changes_no_answer(
+        monkeypatch, _ToiSearch, "_routes", _routes_without_bound,
+        itertools.chain(_differential_graphs(), _table_hosts()), (None, 1, 3))
+    assert saved[0] and saved[2] and not saved[1], saved
+
+
+def test_route_length_bound_cuts_below_the_cap(monkeypatch):
+    # the triangular prism on triangles 0-3-5 and 1-2-4, with rungs 0-1,
+    # 2-5 and 3-4, the last one subdivided by 6: toi is 3.  Under cap 3,
+    # level 4 is refuted; the bound falls to 1 on some pairs, below the
+    # cap, and no step the cap cuts is one the bound allows, so the cap is
+    # never blamed and the refutation proves toi <= 3
+    g = Graph(7, frozenset([(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 4),
+                            (2, 5), (3, 5), (3, 6), (4, 6)]))
+    budget = SearchBudget(max_route_length=3)
+    bounds = []
+
+    def watched(self, src, dst, free, terminals, longest=None):
+        bounds.append(longest)
+        return _ROUTES(self, src, dst, free, terminals, longest)
+
+    monkeypatch.setattr(_ToiSearch, "_routes", watched)
+    search = _ToiSearch(g, budget)
+    assert search.find(4) is None and not search.cap_pruned
+    assert min(bounds) == 1
+    res = exact_toi(g, budget)
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 45)
+    # with the cap alone, a cut path may have had a completion
+    monkeypatch.setattr(_ToiSearch, "_routes", _routes_without_bound)
+    search = _ToiSearch(g, budget)
+    assert search.find(4) is None and search.cap_pruned
+    res = exact_toi(g, budget)
+    assert (res.value, res.status, res.nodes_explored) == (
+        3, "lower-bound-only", 54)
+    assert (exact_toi(g).value, exact_toi(g).status) == (3, "exact")
 
 
 def test_refuted_state_table_changes_no_answer(monkeypatch):
@@ -374,7 +434,7 @@ def test_refuted_state_table_keeps_capped_answers(monkeypatch):
 def test_refuted_state_table_cap(monkeypatch):
     # a full table stops taking entries: the answer holds, and the node
     # count lies between the full-table and the no-table count (the full
-    # table takes under 1,000 entries on this host)
+    # table takes under 512 entries on this host)
     host = cartesian_product(complete_graph(3), cycle_graph(7))
     tables = {}
     routes = _ToiSearch._routes
@@ -387,7 +447,7 @@ def test_refuted_state_table_cap(monkeypatch):
 
     monkeypatch.setattr(_ToiSearch, "_routes", watched)
     counts = {}
-    for cap in (0, 512, toi.solver._REFUTED_CAP):
+    for cap in (0, 384, toi.solver._REFUTED_CAP):
         monkeypatch.setattr(toi.solver, "_REFUTED_CAP", cap)
         tables.clear()
         res = exact_toi(host)
@@ -399,8 +459,8 @@ def test_refuted_state_table_cap(monkeypatch):
                 assert type(free) is tuple
                 assert all(type(mask) is int for mask in free)
         counts[cap] = res.nodes_explored
-    assert counts[0] == 11143
-    assert counts[toi.solver._REFUTED_CAP] < counts[512] < counts[0]
+    assert counts[0] == 8262
+    assert counts[toi.solver._REFUTED_CAP] < counts[384] < counts[0]
 
 
 def _is_automorphism(g, p):
@@ -437,7 +497,7 @@ def test_path_reversal_prunes_the_search():
     # i -> k - 1 - i is the one automorphism a path factor contributes
     g = strong_product(cycle_graph(4), path_graph(3))
     res = exact_toi(g)
-    assert (res.value, res.status, res.nodes_explored) == (6, "exact", 232)
+    assert (res.value, res.status, res.nodes_explored) == (6, "exact", 170)
 
 
 def test_unlabelled_graph_has_no_automorphisms():
@@ -633,20 +693,20 @@ def mycielski(k):
 # deterministic, and a change to the search order or a bound shows here first
 EXACT_TOI_NODES = {
     "cart-K3-K3": (cartesian_product(complete_graph(3), complete_graph(3)),
-                   4, 208),
+                   4, 161),
     "direct-K3-K3": (direct_product(complete_graph(3), complete_graph(3)),
-                     4, 209),
+                     4, 178),
     "cart-K3-K4": (cartesian_product(complete_graph(3), complete_graph(4)),
-                   6, 661),
-    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 222),
-    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 402),
+                   6, 354),
+    "direct-C5-C5": (direct_product(cycle_graph(5), cycle_graph(5)), 5, 87),
+    "cart-C5-P3": (cartesian_product(cycle_graph(5), path_graph(3)), 4, 336),
     "direct-K3-K4": (direct_product(complete_graph(3), complete_graph(4)),
-                     6, 2390),
+                     6, 1405),
     "strong-K3-K3": (strong_product(complete_graph(3), complete_graph(3)),
                      9, 0),
     "lex-K2-K3": (lexicographic_product(complete_graph(2), complete_graph(3)),
                   6, 0),
-    "mycielski-4": (mycielski(4), 4, 214),
+    "mycielski-4": (mycielski(4), 4, 141),
 }
 
 
@@ -894,19 +954,19 @@ def test_check_conjecture_shares_one_time_limit(monkeypatch):
 
 
 @pytest.mark.parametrize("max_nodes, toi_nodes, chi_nodes", [
-    (100, 100, 0),   # toi times out: None at once, chromatic_number never runs
-    (113, 113, 0),   # toi refutes level 4 with all of it: chi times out at 0
-    (120, 113, 7),   # chi needs 11 and gets only what toi left
-    (124, 113, 11),
-])
+    (90, 90, 0),     # toi times out: None at once, chromatic_number never runs
+    (102, 102, 0),   # toi refutes level 4 with all of it: chi times out at 0
+    (109, 102, 7),   # chi needs 11 and gets only what toi left
+    (113, 102, 11),
+], ids=["toi-timeout", "chi-gets-none", "chi-gets-too-few", "chi-exact"])
 def test_check_conjecture_shares_one_node_budget(max_nodes, toi_nodes, chi_nodes):
     rep = check_conjecture(DSATUR_SUBOPTIMAL[0], SearchBudget(max_nodes=max_nodes))
     assert rep.chi.nodes_explored + rep.toi.nodes_explored <= max_nodes
     assert (rep.toi.nodes_explored, rep.chi.nodes_explored) == (toi_nodes, chi_nodes)
-    assert rep.toi.status == ("timeout" if max_nodes == 100 else "exact")
-    assert rep.chi.status == {100: "upper-bound-only", 124: "exact"}.get(
+    assert rep.toi.status == ("timeout" if max_nodes == 90 else "exact")
+    assert rep.chi.status == {90: "upper-bound-only", 113: "exact"}.get(
         max_nodes, "timeout")
-    assert rep.satisfied is (True if max_nodes == 124 else None)
+    assert rep.satisfied is (True if max_nodes == 113 else None)
 
 
 def test_check_conjecture_witness_path_runs_no_chromatic_search(monkeypatch):
@@ -915,12 +975,12 @@ def test_check_conjecture_witness_path_runs_no_chromatic_search(monkeypatch):
         raise AssertionError("chromatic_number ran")
 
     monkeypatch.setattr(toi.solver, "chromatic_number", no_chi)
-    # mycielski(4): the old check spent 32 chi nodes and 214 toi nodes
-    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=208))
+    # mycielski(4): the old check spent 32 chi nodes and 141 toi nodes
+    rep = check_conjecture(mycielski(4), SearchBudget(max_nodes=135))
     assert rep.satisfied is True
     assert rep.chi == SolveResult(4, None, "upper-bound-only", 0)
     assert (rep.toi.value, rep.toi.status, rep.toi.nodes_explored) == (
-        4, "lower-bound-only", 208)
+        4, "lower-bound-only", 135)
 
 
 def test_check_conjecture_falls_back_to_chromatic_number(monkeypatch):
@@ -1092,13 +1152,13 @@ def test_construction_changes_no_verdict(monkeypatch):
     # all 5-vertex graphs and the 3,000 sweep graphs of seed 321: toi and
     # its status, chi's value and the verdict match the search alone, and
     # no graph spends more nodes; 2,956 sweep graphs now spend none, where
-    # the search alone spent 30,347 of its 31,068 nodes
+    # the search alone spent 24,810 of its 25,414 nodes
     graphs = list(itertools.chain(_all_graphs(5), _sweep_graphs(321, 3_000)))
     built = [check_conjecture(g) for g in graphs]
     # every output byte of these 4,024 reports, witnesses and colourings
     # included
     assert _reports_digest(built) == (
-        "7d69e7ab7d0aa127a86f27f2c5f5a804fec8074a288f67370a47796d671fd4a9")
+        "05fc739c4d8e00a495d43f72ecf39e85648374b0ef2a05421b4378e605006358")
     # a one-terminal bound makes every call search down from its upper
     # bound, as before the construction
     monkeypatch.setattr(toi.solver, "_constructed_witness",
@@ -1117,7 +1177,7 @@ def test_construction_changes_no_verdict(monkeypatch):
             total += old_nodes
             if not new_nodes:
                 settled, saved = settled + 1, saved + old_nodes
-    assert (settled, saved, total) == (2_956, 30_347, 31_068)
+    assert (settled, saved, total) == (2_956, 24_810, 25_414)
 
 
 def test_chi_is_exact_exactly_when_the_clique_meets_k():
