@@ -11,6 +11,7 @@ build and free.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional
@@ -261,12 +262,74 @@ class _TokenInts(dict):
         return value
 
 
-def read_graph_text(text: str) -> Graph:
-    n = m = None
+# a chunk of the edge block is split and converted whole; 256 KB keeps its
+# token lists small beside the edge set
+_CHUNK = 1 << 18
+# str.split() and str.splitlines() also break ASCII text at these
+_ODD_SPACE = ("\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _canonical_edges(text: str, ids: _TokenInts):
+    """``(n, m, edges, start, lineno)`` when ``text`` opens with the
+    writer's own ``p toi N M`` line and ``e U V`` block, read in bulk: the
+    line loop reads on from offset ``start``, the first ``l`` line, which is
+    line ``lineno``.  None for any other layout, which the line loop then
+    reads whole.
+
+    A chunk of k lines passes only when it is ASCII with no whitespace but
+    spaces and newlines, every line starts with ``e ``, it splits into 3k
+    tokens and has 2k spaces.  The tokens at 1 and 2 mod 3 pass ``ids``, so
+    none is ``e``; the k line-initial ``e`` tokens thus fill the k places at
+    0 mod 3, every line has exactly 3 tokens, and 2k spaces leave one per
+    gap: each line is ``e U V``, which the line loop reads as
+    ``(ids[U], ids[V])`` under the same ``0 <= u < v < n`` test."""
+    head = text.find("\n") + 1
+    parts = text[:head - 1].split(" ", 4) if head else []
+    if len(parts) != 4 or parts[:2] != ["p", "toi"]:
+        return None
+    try:
+        n, m = ids[parts[2]], ids[parts[3]]
+    except ValueError:
+        return None
+    # the edge block ends with the newline before the first label line
+    end = text.find("\nl ", head - 1) + 1 or len(text)
     edges = []
+    pos = head
+    while pos < end:
+        stop = end if end - pos <= _CHUNK else text.rfind("\n", pos, pos + _CHUNK) + 1
+        chunk = text[pos:stop]
+        k = chunk.count("\n")
+        # a line longer than a chunk leaves it empty, which fails here
+        if not (chunk.isascii() and chunk.startswith("e ")
+                and chunk.endswith("\n") and chunk.count("\ne ") == k - 1
+                and chunk.count(" ") == 2 * k) or any(c in chunk for c in _ODD_SPACE):
+            return None
+        tokens = chunk.split()
+        if len(tokens) != 3 * k:
+            return None
+        try:
+            us = list(map(ids.__getitem__, tokens[1::3]))
+            vs = list(map(ids.__getitem__, tokens[2::3]))
+        except ValueError:
+            return None
+        if min(us) < 0 or max(vs) >= n or not all(map(operator.lt, us, vs)):
+            return None
+        edges.extend(zip(us, vs))
+        pos = stop
+    return n, m, edges, end, 2 + text.count("\n", head, end)
+
+
+def read_graph_text(text: str) -> Graph:
+    """The graph of a ``p toi`` text, as ``write_graph_text`` writes it:
+    ``c`` comment and blank lines, one ``p toi <n> <m>`` line, ``e <u> <v>``
+    lines with ``0 <= u < v < n``, and optional ``l <v> <g> <h>`` lines that
+    label every vertex once.  A text in the writer's canonical layout has its
+    edge block read in bulk by ``_canonical_edges``; any other text is read
+    line by line, with the same graph or the same ``GraphFormatError``."""
     label_map = {}
     ids = _TokenInts()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    n, m, edges, start, first = _canonical_edges(text, ids) or (None, None, [], 0, 1)
+    for lineno, raw in enumerate(text[start:].splitlines(), start=first):
         parts = raw.split()
         # hot path first: a well-formed edge line after the problem line
         if len(parts) == 3 and parts[0] == "e" and n is not None:

@@ -3,12 +3,14 @@
 import hashlib
 import itertools
 import random
+import re
 import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toi import graphs
 from toi.graphs import (
     Graph,
     GraphFormatError,
@@ -169,7 +171,7 @@ def test_text_format_ignores_comments():
     assert g.n == 2 and g.m == 1
 
 
-@pytest.mark.parametrize("text, message", [
+_MALFORMED = [
     ("", "missing problem line"),
     ("c only a comment\n", "missing problem line"),
     # blank, whitespace-only and indented comment lines still count
@@ -224,20 +226,70 @@ def test_text_format_ignores_comments():
      "labels are not a product grid: 5 vertices in rows of 2"),
     ("p toi 2 1\ne 0 1\nl 0 0 0\nl 0 0 0\nl 1 0 1\n",
      "line 4: duplicate label line for vertex 0"),
-])
+]
+
+
+@pytest.mark.parametrize("text, message", _MALFORMED)
 def test_text_format_rejects_malformed(text, message):
     with pytest.raises(GraphFormatError) as err:
         read_graph_text(text)
     assert str(err.value) == message
 
 
+def _read_outcome(text):
+    """The graph's fields, or the error text, that ``read_graph_text`` gives."""
+    try:
+        g = read_graph_text(text)
+    except GraphFormatError as err:
+        return str(err)
+    return g.n, g.edges, g.labels
+
+
+def _line_loop_outcome(text):
+    """``_read_outcome`` with the bulk edge reader turned off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_canonical_edges", lambda text, ids: None)
+        return _read_outcome(text)
+
+
+def test_line_loop_gives_the_malformed_messages():
+    for text, message in _MALFORMED:
+        assert _line_loop_outcome(text) == message, text
+
+
+def _k20_k15_text():
+    # K_20 x K_15: 300 labelled vertices, past CPython's small-int cache,
+    # and a text longer than one bulk-read chunk
+    return write_graph_text(direct_product(complete_graph(20), complete_graph(15)))
+
+
 def test_reader_shares_one_int_per_vertex_id():
     # n > 256 puts ids past CPython's small-int cache, so a fresh int per
-    # endpoint would show as more objects than values
-    g = read_graph_text(write_graph_text(
-        direct_product(complete_graph(20), complete_graph(15))))
-    assert g.n == 300
-    assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
+    # endpoint would show as more objects than values; the canonical text
+    # goes through the bulk reader, its CRLF copy through the line loop
+    text = _k20_k15_text()
+    assert graphs._canonical_edges(text, graphs._TokenInts()) is not None
+    crlf = text.replace("\n", "\r\n")
+    assert graphs._canonical_edges(crlf, graphs._TokenInts()) is None
+    for g in (read_graph_text(text), read_graph_text(crlf)):
+        assert g.n == 300
+        assert len({id(x) for e in g.edges for x in e}) == len({x for e in g.edges for x in e})
+
+
+def test_bulk_reader_spans_chunks():
+    source = direct_product(complete_graph(20), complete_graph(15))
+    text = _k20_k15_text()
+    assert len(text) > graphs._CHUNK
+    assert read_graph_text(text) == source
+    # the last edge line lies in the last chunk: the same line-numbered
+    # message as the line loop gives
+    lines = text.split("\n")
+    last = max(i for i, line in enumerate(lines) if line.startswith("e "))
+    _, u, v = lines[last].split()
+    lines[last] = f"e {v} {u}"
+    bad = "\n".join(lines)
+    message = f"line {last + 1}: edge ({v}, {u}) out of range or not ordered"
+    assert _read_outcome(bad) == _line_loop_outcome(bad) == message
 
 
 @pytest.mark.parametrize("edges, message", [
@@ -345,3 +397,106 @@ def test_graph_text_round_trip(g):
     assert label_lines == list(range(g.n if g.labels else 0))
     assert [rec[0] for rec in records] == (
         ["e"] * len(edge_lines) + ["l"] * len(label_lines))
+
+
+def _edit_line(edit):
+    """A text perturbation that rewrites the line picked by ``i``."""
+    def perturb(text, i):
+        lines = text.split("\n")
+        i %= len(lines)
+        lines[i] = edit(lines[i])
+        return "\n".join(lines)
+    return perturb
+
+
+def _merge_next(text, i):
+    # "e 0 1\ne 2 3\n" -> "e 0 1 e\n2 3\n": still 3 tokens a line on average
+    lines = text.split("\n")
+    i %= len(lines)
+    if i + 1 < len(lines) and lines[i + 1].startswith("e "):
+        lines[i] += " e"
+        lines[i + 1] = lines[i + 1][2:]
+    return "\n".join(lines)
+
+
+def _swap(line):
+    tag, *rest = line.split(" ")
+    return " ".join([tag, *reversed(rest)])
+
+
+_PERTURBATIONS = [
+    lambda text, i: text.replace("\n", "\r\n"),
+    _edit_line(lambda line: line.replace(" ", "\t", 1)),
+    _edit_line(lambda line: line.replace(" ", "  ", 1)),
+    _edit_line(lambda line: line.replace(" ", "  ", 1).rsplit(" ", 1)[0]),
+    _edit_line(lambda line: line + " "),
+    _edit_line(lambda line: " " + line),
+    _edit_line(lambda line: "c note\n" + line),
+    _edit_line(lambda line: "  c note\n" + line),
+    _edit_line(lambda line: "c 0 1\n" + line),
+    _edit_line(lambda line: "\n" + line),
+    _edit_line(lambda line: line.replace(" ", " 0", 1)),
+    _edit_line(lambda line: line.replace(" ", " -", 1)),
+    _edit_line(lambda line: line.replace(" 0", " -0")),
+    *(_edit_line(lambda line, c=c: line[:-1] + c + line[-1:])
+      for c in ("\x1c", "\x1f", "\x85", "\u2028", "\x0b", "\r")),
+    *(_edit_line(lambda line, c=c: line[::-1].replace(" ", c, 1)[::-1])
+      for c in ("\x1c", "\x1f", "\x85", "\u2028", "\x0c", "\r")),
+    *(_edit_line(lambda line, c=c: line[::-1].replace(" ", " " + c, 1)[::-1])
+      for c in ("\x1c", "\x1f", "\x85", "\u2028", "\x0c", "\r")),
+    _merge_next,
+    _edit_line(lambda line: line[:-1] + "\u0663" if line[-1:].isdigit() else line),
+    _edit_line(lambda line: line + "9"),
+    _edit_line(_swap),
+    _edit_line(lambda line: line + "\n" + line),
+    _edit_line(lambda line: line.replace("e ", "e 0 ", 1)),
+    _edit_line(lambda line: line.replace("e ", "l ", 1)),
+    lambda text, i: text.rstrip("\n"),
+]
+
+
+def _assert_paths_agree(text, chunk):
+    """The bulk reader, at this chunk size, gives the line loop's graph or
+    error text, and reads in bulk only the writer's layout, integer
+    spelling aside."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK", chunk)
+        outcome = _read_outcome(text)
+        bulk = graphs._canonical_edges(text, graphs._TokenInts())
+    assert outcome == _line_loop_outcome(text), repr(text)
+    if bulk is not None:
+        *_, start, first = bulk
+        block = text[:start].split("\n")
+        assert first == len(block)
+        assert all(re.fullmatch(r"e -?[0-9]+ -?[0-9]+", line) for line in block[1:-1])
+    return outcome, bulk
+
+
+def test_bulk_reader_matches_line_loop_on_near_misses():
+    # every perturbation at every line of a small labelled product, and of
+    # an unlabelled graph's text with and without its last newline
+    k4 = write_graph_text(complete_graph(4))
+    for text in (write_graph_text(direct_product(complete_graph(3), path_graph(3))),
+                 k4, k4.rstrip("\n")):
+        for perturb in _PERTURBATIONS:
+            for i in range(text.count("\n") + 1):
+                for chunk in (graphs._CHUNK, 6, 16):
+                    _assert_paths_agree(perturb(text, i), chunk)
+
+
+@given(st.one_of(
+           _graphs(max_n=12),
+           st.builds(lambda op, g, h: op(g, h),
+                     st.sampled_from(_PRODUCTS), _graphs(), _graphs())),
+       st.lists(st.tuples(st.sampled_from(_PERTURBATIONS), st.integers(0, 10**6)),
+                max_size=2),
+       st.sampled_from([graphs._CHUNK, 6, 16, 40]))
+@settings(max_examples=300, deadline=None)
+def test_bulk_reader_matches_line_loop(g, perturbations, chunk):
+    text = write_graph_text(g)
+    for perturb, i in perturbations:
+        text = perturb(text, i)
+    outcome, bulk = _assert_paths_agree(text, chunk)
+    if not perturbations:
+        assert outcome == (g.n, g.edges, g.labels)
+        assert bulk is not None or chunk < len("e 10 11\n")
