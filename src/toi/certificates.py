@@ -67,15 +67,6 @@ class Route:
     def edge_count(self) -> int:
         return len(self.vertices) - 1
 
-    @property
-    def is_odd(self) -> bool:
-        return self.edge_count % 2 == 1
-
-    def edge_set(self):
-        """Canonical undirected edges, as a list (may contain repeats)."""
-        return [(min(a, b), max(a, b))
-                for a, b in zip(self.vertices, self.vertices[1:])]
-
     def reversed(self) -> "Route":
         return Route(tuple(reversed(self.vertices)))
 

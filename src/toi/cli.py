@@ -193,15 +193,6 @@ def _cmd_construct(args) -> int:
     return 0 if ok else 1
 
 
-def _budget(args) -> SearchBudget:
-    kwargs = {}
-    if args.nodes is not None:
-        kwargs["max_nodes"] = args.nodes
-    if args.time_limit is not None:
-        kwargs["time_limit"] = args.time_limit
-    return SearchBudget(**kwargs)
-
-
 def _write_witness(result, path: Optional[str]) -> Optional[str]:
     """Write a solver result's witness certificate to ``path`` when both are
     given; returns the path written, else None."""
@@ -215,7 +206,7 @@ def _cmd_solve(args) -> int:
     if args.max_t is not None and args.max_t < 1:
         raise ValueError(f"--max-t must be a positive integer, got {args.max_t}")
     g = _read(args.graph, "graph", read_graph_text)
-    result = exact_toi(g, _budget(args), max_t=args.max_t)
+    result = exact_toi(g, SearchBudget(args.nodes, args.time_limit), max_t=args.max_t)
     witness_path = _write_witness(result, args.witness)
     report = {"command": "solve", "value": result.value,
               "status": result.status, "nodes_explored": result.nodes_explored,
@@ -230,7 +221,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_check_conjecture(args) -> int:
     g = _read(args.graph, "graph", read_graph_text)
-    outcome = check_conjecture(g, _budget(args))
+    outcome = check_conjecture(g, SearchBudget(args.nodes, args.time_limit))
     satisfied = outcome.satisfied
     verdict = {True: "satisfied", False: "VIOLATED", None: "indeterminate"}[satisfied]
     chi, toi = outcome.chi, outcome.toi
@@ -317,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--max-t", type=int, help="stop the search at this size")
     p.add_argument("--time-limit", type=float, help="CPU seconds")
-    p.add_argument("--nodes", type=int, help="search node budget")
+    p.add_argument("--nodes", type=int, default=SearchBudget.max_nodes,
+                   help="search node budget")
     p.add_argument("--witness", help="write the witness certificate here")
     p.set_defaults(func=_cmd_solve)
 
@@ -326,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "K_k witness")
     p.add_argument("graph")
     p.add_argument("--time-limit", type=float, help="CPU seconds")
-    p.add_argument("--nodes", type=int, help="search node budget")
+    p.add_argument("--nodes", type=int, default=SearchBudget.max_nodes,
+                   help="search node budget")
     p.add_argument("--witness", help="write the toi witness certificate here")
     p.set_defaults(func=_cmd_check_conjecture)
 

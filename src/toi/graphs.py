@@ -96,12 +96,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def max_degree(self) -> int:
-        return max((len(a) for a in self.adjacency), default=0)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return (min(u, v), max(u, v)) in self.edges
-
     def is_complete(self) -> bool:
         return self.m == self.n * (self.n - 1) // 2
 
@@ -331,16 +325,6 @@ def read_graph_text(text: str) -> Graph:
     n, m, edges, start, first = _canonical_edges(text, ids) or (None, None, [], 0, 1)
     for lineno, raw in enumerate(text[start:].splitlines(), start=first):
         parts = raw.split()
-        # hot path first: a well-formed edge line after the problem line
-        if len(parts) == 3 and parts[0] == "e" and n is not None:
-            try:
-                u, v = ids[parts[1]], ids[parts[2]]
-            except ValueError:
-                raise GraphFormatError(f"line {lineno}: non-integer endpoints") from None
-            if not (0 <= u < v < n):
-                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range or not ordered")
-            edges.append((u, v))
-            continue
         if not parts or parts[0].startswith("c"):
             continue
         if parts[0] == "p":
@@ -355,7 +339,15 @@ def read_graph_text(text: str) -> Graph:
         elif parts[0] == "e":
             if n is None:
                 raise GraphFormatError(f"line {lineno}: edge before problem line")
-            raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+            if len(parts) != 3:
+                raise GraphFormatError(f"line {lineno}: expected 'e <u> <v>'")
+            try:
+                u, v = ids[parts[1]], ids[parts[2]]
+            except ValueError:
+                raise GraphFormatError(f"line {lineno}: non-integer endpoints") from None
+            if not (0 <= u < v < n):
+                raise GraphFormatError(f"line {lineno}: edge ({u}, {v}) out of range or not ordered")
+            edges.append((u, v))
         elif parts[0] == "l":
             if len(parts) != 4:
                 raise GraphFormatError(f"line {lineno}: expected 'l <v> <g> <h>'")

@@ -59,13 +59,10 @@ from .graphs import Graph, is_bipartite
 class SearchBudget:
     """Resource limits for one solver call.  ``time_limit`` is in process
     CPU seconds, whose pace varies with load; only ``max_nodes`` stops a
-    search at the same point on every run.  ``max_route_length`` caps the
-    routes the search enumerates only: a constructed witness (see
-    :func:`_constructed_witness`) is verified but may have longer routes."""
+    search at the same point on every run."""
 
     max_nodes: int = 200_000_000
     time_limit: Optional[float] = None
-    max_route_length: Optional[int] = None
 
     def __post_init__(self):
         # written so that NaN, for which every comparison is False, fails
@@ -73,8 +70,6 @@ class SearchBudget:
             raise ValueError("max_nodes must be positive")
         if self.time_limit is not None and not self.time_limit > 0:
             raise ValueError("time_limit must be positive")
-        if self.max_route_length is not None and not self.max_route_length > 0:
-            raise ValueError("max_route_length must be positive")
 
 
 @dataclass
@@ -92,22 +87,14 @@ class _BudgetExhausted(Exception):
     pass
 
 
-# route enumeration is capped by default on large hosts; a level the cap
-# cuts proves no upper bound
+# the search's routes have at most _DEFAULT_CAP edges on a host of more than
+# _DEFAULT_CAP_THRESHOLD edges; a level the cap cuts proves no upper bound,
+# and a constructed witness (_constructed_witness) may have longer routes
 _DEFAULT_CAP_THRESHOLD = 20
 _DEFAULT_CAP = 9
 # entries of _ToiSearch._assign's refuted-state table; inserts stop when it
 # is full, which bounds its memory and keeps node counts deterministic
 _REFUTED_CAP = 1 << 16
-
-
-def _effective_cap(g: Graph, budget: SearchBudget) -> int:
-    """The route length cap; a simple route has at most m edges, so m
-    stands in for no cap."""
-    cap = budget.max_route_length
-    if cap is None:
-        cap = g.m if g.m <= _DEFAULT_CAP_THRESHOLD else _DEFAULT_CAP
-    return min(cap, g.m)
 
 
 class _Ticker:
@@ -132,7 +119,9 @@ class _Ticker:
 class _ToiSearch:
     def __init__(self, g: Graph, budget: SearchBudget):
         self.g = g
-        self.cap = _effective_cap(g, budget)
+        # a simple route has at most m edges, so m stands in for no cap
+        self.cap = (g.m if g.m <= _DEFAULT_CAP_THRESHOLD
+                    else min(_DEFAULT_CAP, g.m))
         self.ticker = _Ticker(budget)
         self.adj_mask = g._adjacency_masks
         self.degree = tuple(mask.bit_count() for mask in self.adj_mask)
@@ -140,7 +129,7 @@ class _ToiSearch:
         # set when the route length cap prunes a branch during find()
         self.cap_pruned = False
 
-    def _routes(self, src: int, dst: int, free, terminals: int, longest=None):
+    def _routes(self, src: int, dst: int, free, terminals: int, longest: int):
         """Yield simple odd routes from src to dst, src < dst, as vertex
         tuples, on the edges in ``free`` (``free[v]`` masks v's neighbours
         across a free edge) and with no vertex of ``terminals`` (a bit mask)
@@ -154,8 +143,8 @@ class _ToiSearch:
         w has over len(path) edges.  Only a cap below ``longest``, which cuts
         no completion (:meth:`_assign`), sets ``cap_pruned``."""
         tick = self.ticker.tick
-        blame = longest is None or self.cap < longest
-        limit = self.cap if blame else longest
+        blame = self.cap < longest
+        limit = min(self.cap, longest)
         tick()
         avoid = terminals & ~(1 << dst)
         frames = [(free[src] & ~avoid, (src,), avoid)]

@@ -1,6 +1,8 @@
 """The public API: the exported names are pinned, so adding or removing one
 is a visible change."""
 
+import dataclasses
+
 import toi
 
 PUBLIC_NAMES = [
@@ -45,3 +47,12 @@ def test_public_names_are_pinned():
     assert sorted(toi.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(toi, name) is not None, name
+
+
+def test_search_budget_has_two_limits_and_no_tests_only_helpers():
+    # the route length cap is a fixed rule of the search, not an option
+    assert [f.name for f in dataclasses.fields(toi.SearchBudget)] == [
+        "max_nodes", "time_limit"]
+    for owner, name in ((toi.Route, "is_odd"), (toi.Route, "edge_set"),
+                        (toi.Graph, "max_degree"), (toi.Graph, "has_edge")):
+        assert not hasattr(owner, name), name

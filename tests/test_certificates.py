@@ -31,9 +31,9 @@ from toi.graphs import Graph, complete_graph, cycle_graph, path_graph
 def test_route_basics():
     r = Route((0, 1, 2, 3))
     assert r.edge_count == 3
-    assert r.is_odd
+    assert r.edge_count % 2 == 1
     assert r.reversed().vertices == (3, 2, 1, 0)
-    assert r.edge_set() == [(0, 1), (1, 2), (2, 3)]
+    assert list(zip(r.vertices, r.vertices[1:])) == [(0, 1), (1, 2), (2, 3)]
     with pytest.raises(ValueError):
         Route((0,))
     with pytest.raises(ValueError):

@@ -75,7 +75,7 @@ def test_m_pair_properties(seed_p, seed_q, k, l):
     assert dec(m2.vertices[0]) == (u, v2)
     assert dec(m2.vertices[-1]) == (u2, v)
     # both odd
-    assert m1.is_odd and m2.is_odd
+    assert m1.edge_count % 2 == m2.edge_count % 2 == 1
     # every step moves both coordinates along consecutive path positions
     for route in (m1, m2):
         for a, b in zip(route.vertices, route.vertices[1:]):

@@ -40,6 +40,20 @@ from toi.solver import (
 )
 
 
+@pytest.fixture
+def route_cap(monkeypatch):
+    """``route_cap(c)`` caps the routes of every search built after it at c
+    edges, or m on a host with fewer, through the two constants of the
+    default rule; ``route_cap(None)`` restores that rule."""
+    default = toi.solver._DEFAULT_CAP_THRESHOLD, toi.solver._DEFAULT_CAP
+
+    def set_cap(cap):
+        threshold, length = default if cap is None else (0, cap)
+        monkeypatch.setattr(toi.solver, "_DEFAULT_CAP_THRESHOLD", threshold)
+        monkeypatch.setattr(toi.solver, "_DEFAULT_CAP", length)
+    return set_cap
+
+
 def petersen():
     outer = [(i, (i + 1) % 5) for i in range(5)]
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
@@ -80,7 +94,8 @@ def test_odd_cycle_witness_uses_whole_cycle():
     assert res.value == 3
     used = set()
     for route in res.witness.connections.values():
-        used.update(route.edge_set())
+        used.update(tuple(sorted(e))
+                    for e in zip(route.vertices, route.vertices[1:]))
     assert len(used) + len(res.witness.connections) >= 5
 
 
@@ -112,13 +127,9 @@ def test_budget_validation():
         SearchBudget(time_limit=-1)
     with pytest.raises(ValueError):
         SearchBudget(time_limit=float("nan"))
-    with pytest.raises(ValueError):
-        SearchBudget(max_route_length=0)
     # NaN passes every "<= 0" test, so it would mean no limit at all
     with pytest.raises(ValueError):
         SearchBudget(max_nodes=float("nan"))
-    with pytest.raises(ValueError):
-        SearchBudget(max_route_length=float("nan"))
 
 
 def test_tiny_budget_times_out():
@@ -150,45 +161,52 @@ def test_max_t_truncation_is_lower_bound_only():
     assert res.status == "lower-bound-only"
 
 
-def test_route_length_cap_degrades_status():
+def test_route_length_cap_degrades_status(route_cap):
     # a capped search that finds the answer below the degree bound cannot
     # rule out larger cliques reached through long routes
     g = cartesian_product(complete_graph(3), complete_graph(3))
-    res = exact_toi(g, SearchBudget(max_route_length=1))
+    route_cap(1)
+    res = exact_toi(g)
     assert res.value == 3  # true value is 4, reachable only via longer routes
     assert res.status == "lower-bound-only"
     assert res.nodes_explored > 0
 
 
-def test_complete_refutation_above_a_capped_level_proves_the_upper_end():
+def test_complete_refutation_above_a_capped_level_proves_the_upper_end(route_cap):
     # level 4 is refuted with no cap prune, so toi <= 3; level 3 is cut by
     # the cap, but the constructed odd-cycle K_3 meets that upper end
     g = Graph(7, frozenset([(0, 1), (0, 3), (0, 6), (1, 2), (1, 5), (2, 4),
                             (3, 5), (4, 5), (4, 6)]))
-    res = exact_toi(g, SearchBudget(max_route_length=1))
+    route_cap(1)
+    res = exact_toi(g)
     assert (res.value, res.status, res.nodes_explored) == (3, "exact", 67)
     assert hashlib.sha256(serialize_certificate(res.witness).encode()
                           ).hexdigest().startswith("903f6cb6b542")
+    route_cap(None)
     assert (exact_toi(g).value, exact_toi(g).status) == (3, "exact")
 
 
-def test_route_cap_refuting_the_lower_bound_returns_its_witness():
+def test_route_cap_refuting_the_lower_bound_returns_its_witness(route_cap):
     # mycielski(4) has no triangle, so with single-edge routes every level
     # down to the constructed bound 3 is refuted; the odd-cycle K_3, whose
     # long route the cap does not bind, is returned instead
     g = mycielski(4)
-    res = exact_toi(g, SearchBudget(max_route_length=1))
+    route_cap(1)
+    res = exact_toi(g)
     assert (res.value, res.status) == (3, "lower-bound-only")
     assert res.nodes_explored > 0
     assert max(r.edge_count for r in res.witness.connections.values()) > 1
     assert verify(g, res.witness).all_ok
 
 
-def test_route_length_cap_admits_routes_of_that_length():
-    # on C5 the only odd route from 0 to 2 is 0-4-3-2, three edges long
+def test_route_length_cap_admits_routes_of_that_length(route_cap):
+    # on C5 the only odd route from 0 to 2 is 0-4-3-2, three edges long;
+    # a longest above the cap leaves the cap alone to limit the walk
     def routes(cap):
-        search = _ToiSearch(cycle_graph(5), SearchBudget(max_route_length=cap))
-        return list(search._routes(0, 2, search.adj_mask, 1 | 1 << 2))
+        route_cap(cap)
+        search = _ToiSearch(cycle_graph(5), SearchBudget())
+        return list(search._routes(0, 2, search.adj_mask, 1 | 1 << 2,
+                                   search.cap + 1))
     assert routes(3) == [(0, 4, 3, 2)]
     assert routes(2) == []
 
@@ -245,7 +263,17 @@ def _differential_graphs():
         yield Graph(n, frozenset(e for e in pairs[n] if rng.random() < density))
 
 
-def _assert_rule_changes_no_answer(monkeypatch, owner, name, off,
+def _solve_under_caps(route_cap, graphs, caps):
+    """``exact_toi`` of every graph, one list per route cap in ``caps``
+    (set through the ``route_cap`` fixture)."""
+    runs = []
+    for cap in caps:
+        route_cap(cap)
+        runs.append([exact_toi(g) for g in graphs])
+    return runs
+
+
+def _assert_rule_changes_no_answer(monkeypatch, route_cap, owner, name, off,
                                    graphs=None, caps=(None,)):
     """Solve ``graphs`` (the differential graphs by default) under each
     route cap in ``caps`` with a pruning rule, then again with
@@ -254,34 +282,33 @@ def _assert_rule_changes_no_answer(monkeypatch, owner, name, off,
     and the rule never adds nodes.  Returns, per cap, the number of graphs
     on which the rule saved nodes."""
     graphs = list(_differential_graphs() if graphs is None else graphs)
-    budgets = [SearchBudget(max_route_length=cap) for cap in caps]
-    pruned = [[exact_toi(g, b) for b in budgets] for g in graphs]
+    pruned = _solve_under_caps(route_cap, graphs, caps)
     monkeypatch.setattr(owner, name, off)
-    saved = [0] * len(budgets)
-    for g, results in zip(graphs, pruned):
-        for i, (budget, fast) in enumerate(zip(budgets, results)):
-            slow = exact_toi(g, budget)
+    saved = []
+    for fast_run, slow_run in zip(pruned, _solve_under_caps(route_cap, graphs, caps)):
+        saved.append(0)
+        for fast, slow in zip(fast_run, slow_run):
             assert fast.value == slow.value
             assert serialize_certificate(fast.witness) == \
                 serialize_certificate(slow.witness)
             assert fast.status == slow.status or (
                 fast.status, slow.status) == ("exact", "lower-bound-only")
             assert fast.nodes_explored <= slow.nodes_explored
-            saved[i] += fast.nodes_explored < slow.nodes_explored
+            saved[-1] += fast.nodes_explored < slow.nodes_explored
     return saved
 
 
-def test_edge_budget_bound_changes_no_answer(monkeypatch):
+def test_edge_budget_bound_changes_no_answer(monkeypatch, route_cap):
     # the bound only skips terminal sets without a solution
-    _assert_rule_changes_no_answer(monkeypatch, _ToiSearch,
+    _assert_rule_changes_no_answer(monkeypatch, route_cap, _ToiSearch,
                                    "_edge_budget_refutes",
                                    lambda self, subset: False)
 
 
-def test_forward_check_changes_no_answer(monkeypatch):
+def test_forward_check_changes_no_answer(monkeypatch, route_cap):
     # the check only cuts branches without a completion; (0, 0) turns off
     # both of its parts: every walk is found, and none needs a spare edge
-    _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_odd_walks",
+    _assert_rule_changes_no_answer(monkeypatch, route_cap, toi.solver, "_odd_walks",
                                    lambda src, need, free, terminals: (0, 0))
 
 
@@ -291,19 +318,19 @@ def _reachability_only(src, need, free, terminals):
     return None if _odd_walks(src, need, free, terminals) is None else (0, 0)
 
 
-def test_distance_sum_changes_no_answer(monkeypatch):
+def test_distance_sum_changes_no_answer(monkeypatch, route_cap):
     # the sum only cuts states without a completion; reachability stays on
-    saved = _assert_rule_changes_no_answer(monkeypatch, toi.solver,
+    saved = _assert_rule_changes_no_answer(monkeypatch, route_cap, toi.solver,
                                            "_odd_walks", _reachability_only)
     assert saved[0]
 
 
-def test_distance_sum_keeps_capped_answers(monkeypatch):
+def test_distance_sum_keeps_capped_answers(monkeypatch, route_cap):
     # the walks ignore the route cap, so under a cap the sum also cuts only
     # states with no completion, and a cap prune it skips makes a status
     # no weaker
     saved = _assert_rule_changes_no_answer(
-        monkeypatch, toi.solver, "_odd_walks", _reachability_only,
+        monkeypatch, route_cap, toi.solver, "_odd_walks", _reachability_only,
         itertools.chain(_differential_graphs(), _table_hosts()), (None, 1, 3))
     assert all(saved), saved
 
@@ -336,31 +363,31 @@ def test_distance_sum_cuts_where_every_pair_has_a_walk(monkeypatch):
 _ROUTES = _ToiSearch._routes
 
 
-def _routes_without_bound(self, src, dst, free, terminals, longest=None):
-    """:meth:`_ToiSearch._routes` with the length bound off: the route cap
-    alone limits the walk."""
-    return _ROUTES(self, src, dst, free, terminals)
+def _routes_without_bound(self, src, dst, free, terminals, longest):
+    """:meth:`_ToiSearch._routes` with the length bound off: a longest above
+    the cap leaves the route cap alone to limit the walk."""
+    return _ROUTES(self, src, dst, free, terminals, self.cap + 1)
 
 
-def test_route_length_bound_changes_no_answer(monkeypatch):
+def test_route_length_bound_changes_no_answer(monkeypatch, route_cap):
     # the bound only cuts routes that no completion can afford; the forward
     # check and its distance sum stay on
-    saved = _assert_rule_changes_no_answer(monkeypatch, _ToiSearch, "_routes",
-                                           _routes_without_bound)
+    saved = _assert_rule_changes_no_answer(monkeypatch, route_cap, _ToiSearch,
+                                           "_routes", _routes_without_bound)
     assert saved[0]
 
 
-def test_route_length_bound_keeps_capped_answers(monkeypatch):
+def test_route_length_bound_keeps_capped_answers(monkeypatch, route_cap):
     # a step the bound cuts is never blamed on the cap, so under a cap a
     # status gets no weaker; under cap 1 the limit min(cap, longest) is 1
     # whatever the bound, so it saves no node there
     saved = _assert_rule_changes_no_answer(
-        monkeypatch, _ToiSearch, "_routes", _routes_without_bound,
+        monkeypatch, route_cap, _ToiSearch, "_routes", _routes_without_bound,
         itertools.chain(_differential_graphs(), _table_hosts()), (None, 1, 3))
     assert saved[0] and saved[2] and not saved[1], saved
 
 
-def test_route_length_bound_cuts_below_the_cap(monkeypatch):
+def test_route_length_bound_cuts_below_the_cap(monkeypatch, route_cap):
     # the triangular prism on triangles 0-3-5 and 1-2-4, with rungs 0-1,
     # 2-5 and 3-4, the last one subdivided by 6: toi is 3.  Under cap 3,
     # level 4 is refuted; the bound falls to 1 on some pairs, below the
@@ -368,32 +395,34 @@ def test_route_length_bound_cuts_below_the_cap(monkeypatch):
     # never blamed and the refutation proves toi <= 3
     g = Graph(7, frozenset([(0, 1), (0, 3), (0, 5), (1, 2), (1, 4), (2, 4),
                             (2, 5), (3, 5), (3, 6), (4, 6)]))
-    budget = SearchBudget(max_route_length=3)
+    route_cap(3)
     bounds = []
 
-    def watched(self, src, dst, free, terminals, longest=None):
+    def watched(self, src, dst, free, terminals, longest):
         bounds.append(longest)
         return _ROUTES(self, src, dst, free, terminals, longest)
 
     monkeypatch.setattr(_ToiSearch, "_routes", watched)
-    search = _ToiSearch(g, budget)
+    search = _ToiSearch(g, SearchBudget())
     assert search.find(4) is None and not search.cap_pruned
     assert min(bounds) == 1
-    res = exact_toi(g, budget)
+    res = exact_toi(g)
     assert (res.value, res.status, res.nodes_explored) == (3, "exact", 45)
     # with the cap alone, a cut path may have had a completion
     monkeypatch.setattr(_ToiSearch, "_routes", _routes_without_bound)
-    search = _ToiSearch(g, budget)
+    search = _ToiSearch(g, SearchBudget())
     assert search.find(4) is None and search.cap_pruned
-    res = exact_toi(g, budget)
+    res = exact_toi(g)
     assert (res.value, res.status, res.nodes_explored) == (
         3, "lower-bound-only", 54)
+    route_cap(None)
     assert (exact_toi(g).value, exact_toi(g).status) == (3, "exact")
 
 
-def test_refuted_state_table_changes_no_answer(monkeypatch):
+def test_refuted_state_table_changes_no_answer(monkeypatch, route_cap):
     # the table only skips states whose subtree was already exhausted
-    _assert_rule_changes_no_answer(monkeypatch, toi.solver, "_REFUTED_CAP", 0)
+    _assert_rule_changes_no_answer(monkeypatch, route_cap, toi.solver,
+                                   "_REFUTED_CAP", 0)
 
 
 def _table_hosts():
@@ -410,22 +439,23 @@ def _table_hosts():
                                      if rng.random() < density))
 
 
-def test_refuted_state_table_keeps_capped_answers(monkeypatch):
+def test_refuted_state_table_keeps_capped_answers(monkeypatch, route_cap):
     # a revisited state would set cap_pruned only if its first visit did,
     # so under a route cap the status is equal too, not merely no weaker
     graphs = list(itertools.chain(_differential_graphs(), _table_hosts()))
-    budgets = [SearchBudget(max_route_length=cap) for cap in (None, 1, 3)]
-    with_table = [[exact_toi(g, b) for b in budgets] for g in graphs]
+    caps = (None, 1, 3)
+    with_table = _solve_under_caps(route_cap, graphs, caps)
     monkeypatch.setattr(toi.solver, "_REFUTED_CAP", 0)
-    skipped = [0] * len(budgets)
-    for g, results in zip(graphs, with_table):
-        for i, (budget, fast) in enumerate(zip(budgets, results)):
-            slow = exact_toi(g, budget)
+    skipped = []
+    for fast_run, slow_run in zip(with_table,
+                                  _solve_under_caps(route_cap, graphs, caps)):
+        skipped.append(0)
+        for fast, slow in zip(fast_run, slow_run):
             assert (fast.value, fast.status) == (slow.value, slow.status)
             assert serialize_certificate(fast.witness) == \
                 serialize_certificate(slow.witness)
             assert fast.nodes_explored <= slow.nodes_explored
-            skipped[i] += fast.nodes_explored < slow.nodes_explored
+            skipped[-1] += fast.nodes_explored < slow.nodes_explored
     # the table acted, so the test compares something; under cap 1 every
     # pair has one route or none, so no state is ever reached twice
     assert skipped[0] and skipped[2] and not skipped[1], skipped
@@ -560,7 +590,7 @@ def _small_products():
                 yield op(g, h)
 
 
-def test_symmetry_rule_changes_no_answer(monkeypatch):
+def test_symmetry_rule_changes_no_answer(monkeypatch, route_cap):
     # a terminal set is skipped only when an automorphism maps it to an
     # earlier, refuted one; the edge-budget bound still sees every set.
     # The node budget keeps lex-C4-P3 (a timeout at 2,000,000 nodes) cheap;
@@ -573,17 +603,18 @@ def test_symmetry_rule_changes_no_answer(monkeypatch):
         return refutes(self, subset)
 
     monkeypatch.setattr(_ToiSearch, "_edge_budget_refutes", counted)
-    budgets = [SearchBudget(max_nodes=20_000, max_route_length=cap)
-               for cap in (None, 1, 3)]
+    budget = SearchBudget(max_nodes=20_000)
     runs = []
-    for g in _small_products():
-        for budget in budgets:
+    for cap in (None, 1, 3):
+        route_cap(cap)
+        for g in _small_products():
             checked[0] = 0
-            runs.append((g, budget, exact_toi(g, budget), checked[0]))
+            runs.append((g, cap, exact_toi(g, budget), checked[0]))
     monkeypatch.setattr(toi.solver, "_product_automorphisms", lambda g: ())
     skipped = 0
-    for g, budget, fast, fast_checked in runs:
+    for g, cap, fast, fast_checked in runs:
         checked[0] = 0
+        route_cap(cap)
         slow = exact_toi(g, budget)
         assert (fast.value, fast.status) == (slow.value, slow.status)
         assert serialize_certificate(fast.witness) == \
@@ -595,21 +626,22 @@ def test_symmetry_rule_changes_no_answer(monkeypatch):
     assert skipped
 
 
-def test_capped_exact_status_is_sound():
+def test_capped_exact_status_is_sound(route_cap):
     # a short route cap may hide the answer; "exact" must then not be
     # claimed, not even for a single level asked through max_t, and the cap
     # only degrades a status where it actually cut a branch
     statuses = set()
-    for g in _differential_graphs():
-        truth = exact_toi(g)
-        assert truth.status == "exact"
-        for cap in (1, 3):
-            budget = SearchBudget(max_route_length=cap)
-            res = exact_toi(g, budget)
+    graphs = list(_differential_graphs())
+    truths = [exact_toi(g) for g in graphs]
+    assert all(truth.status == "exact" for truth in truths)
+    for cap in (1, 3):
+        route_cap(cap)
+        for g, truth in zip(graphs, truths):
+            res = exact_toi(g)
             statuses.add(res.status)
             if res.status == "exact":
                 assert res.value == truth.value
-            level = exact_toi(g, budget, max_t=truth.value)
+            level = exact_toi(g, max_t=truth.value)
             assert level.value == truth.value or level.status != "exact"
     assert statuses == {"exact", "lower-bound-only"}
 
@@ -632,7 +664,8 @@ def test_search_leaves_no_reference_cycles():
     search = _ToiSearch(k6, SearchBudget())
     direct_k3_k4 = direct_product(complete_graph(3), complete_graph(4))
     calls = [
-        (lambda: list(search._routes(0, 5, search.adj_mask, 1 | 1 << 5)), 2000),
+        (lambda: list(search._routes(0, 5, search.adj_mask, 1 | 1 << 5,
+                                     search.cap + 1)), 2000),
         (lambda: _ToiSearch(k6, SearchBudget()).find(6), 200),
         (lambda: exact_toi(cycle_graph(5)), 200),
         (lambda: exact_toi(direct_k3_k4, SearchBudget(max_nodes=3000)), 20),
@@ -820,7 +853,7 @@ def _plain_bounds(g):
     for v in order:
         members = [v]
         for w in order:
-            if w != v and all(g.has_edge(w, x) for x in members):
+            if w != v and all(x in g.adjacency[w] for x in members):
                 members.append(w)
         clique = max(clique, len(members))
     colors = [-1] * g.n
@@ -893,7 +926,7 @@ def test_chromatic_number(g, chi):
     assert res.value == chi
 
 
-def test_searches_deeper_than_the_recursion_limit():
+def test_searches_deeper_than_the_recursion_limit(route_cap):
     # K_46 routes C(46, 2) = 1,035 pairs, C_1001 colours 1,001 vertices and
     # the uncapped route from 0 to 2 round C_2001 has 1,999 edges, each one
     # search frame deep, past Python's default limit of 1,000.  exact_toi
@@ -903,7 +936,8 @@ def test_searches_deeper_than_the_recursion_limit():
     assert search.ticker.nodes == 1036
     res = chromatic_number(cycle_graph(1001))
     assert (res.value, res.status, res.nodes_explored) == (3, "exact", 1001)
-    search = _ToiSearch(cycle_graph(2001), SearchBudget(max_route_length=2001))
+    route_cap(2001)
+    search = _ToiSearch(cycle_graph(2001), SearchBudget())
     assert search.find(3).terminals == (0, 1, 2)
     assert search.ticker.nodes == 2002
 
@@ -1225,7 +1259,7 @@ def test_exhaustive_four_vertex_laws():
     for g in _all_graphs(4):
         res = exact_toi(g)
         assert res.status == "exact"
-        assert 1 <= res.value <= g.max_degree() + 1
+        assert 1 <= res.value <= max(map(len, g.adjacency)) + 1
         assert verify(g, res.witness).all_ok
         chi = chromatic_number(g)
         assert chi.status == "exact"
