@@ -121,6 +121,14 @@ class Certificate:
             pass
         raise ValueError(f"pair {pair} is not a valid terminal-index pair")
 
+    @classmethod
+    def _trusted(cls, clique_size: int, terminals: tuple, connections: dict):
+        """``Certificate(...)`` without the per-key walk, for callers that prove every
+        key a pair ``0 <= a < b < clique_size``: ``direct_kts`` and the parser."""
+        cert = cls(clique_size, terminals)
+        object.__setattr__(cert, "connections", connections)
+        return cert
+
 
 # flag -> the weakest requirement level that needs it, in report order
 _FLAG_LEVELS = {
@@ -189,6 +197,7 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
     connections = cert.connections
     host_edges = host.edges
     used = set()  # edges as int keys lo * n + hi
+    add = used.add
     missing = 0
     for a in range(r):
         ta = terminals[a]
@@ -206,33 +215,31 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
                     "endpoints_ok",
                     f"pair {(a, b)}: route ends {tuple(sorted({first, last}))}, "
                     f"expected {tuple(sorted({ta, tb}))}")
+            if len(verts) == 2:  # odd, simple, no interior: only the edge can fail
+                edge = (first, last) if first < last else (last, first)
+                key = edge[0] * n + edge[1]
+                if edge not in host_edges or key in used:
+                    _edge_fault(violations, host, (a, b), first, last, key in used)
+                add(key)
+                continue
             if len(verts) % 2:
                 violations.setdefault(
                     "all_odd", f"pair {(a, b)}: route has even length {len(verts) - 1}")
-            if len(verts) > 2:
-                if len(set(verts)) != len(verts):
-                    violations.setdefault("routes_simple",
-                                          f"pair {(a, b)}: route revisits a vertex")
-                interior = verts[1:-1]
-                if not terminal_set.isdisjoint(interior):
-                    v = next(v for v in interior if v in terminal_set)
-                    violations.setdefault("strong",
-                                          f"pair {(a, b)}: terminal {v} interior to route")
+            if len(set(verts)) != len(verts):
+                violations.setdefault("routes_simple",
+                                      f"pair {(a, b)}: route revisits a vertex")
+            interior = verts[1:-1]
+            if not terminal_set.isdisjoint(interior):
+                v = next(v for v in interior if v in terminal_set)
+                violations.setdefault("strong",
+                                      f"pair {(a, b)}: terminal {v} interior to route")
             u = first
             for v in verts[1:]:
-                lo, hi = (u, v) if u < v else (v, u)
-                if (lo, hi) not in host_edges:
-                    # u can be out of range only as the route's first vertex
-                    if lo < 0 or hi >= n:
-                        w = u if not (0 <= u < n) else v
-                        raise MalformedCertificateError(
-                            f"route for pair {(a, b)} visits vertex {w} outside host (n={n})")
-                    violations.setdefault(
-                        "edges_exist", f"pair {(a, b)}: ({lo}, {hi}) is not a host edge")
-                if lo * n + hi in used:
-                    violations.setdefault("edge_disjoint",
-                                          f"edge {(lo, hi)} reused by pair {(a, b)}")
-                used.add(lo * n + hi)
+                edge = (u, v) if u < v else (v, u)
+                key = edge[0] * n + edge[1]
+                if edge not in host_edges or key in used:
+                    _edge_fault(violations, host, (a, b), u, v, key in used)
+                add(key)
                 u = v
 
     # the walk reached only the keys equal to pairs 0 <= a < b < r
@@ -243,6 +250,19 @@ def verify(host: Graph, cert: Certificate) -> VerificationReport:
         raise MalformedCertificateError(f"pair {pair} is not a valid terminal-index pair")
     return VerificationReport({name: violations[name]
                                for name in _FLAG_LEVELS if name in violations})
+
+
+def _edge_fault(violations, host, pair, u, v, reused):
+    """Record u-v of ``pair`` as a non-host or reused edge; raise if it leaves the host."""
+    lo, hi = (u, v) if u < v else (v, u)
+    if (lo, hi) not in host.edges:
+        n = host.n  # u can be out of range only as the route's first vertex
+        if lo < 0 or hi >= n:
+            raise MalformedCertificateError(f"route for pair {pair} visits vertex "
+                                            f"{u if not 0 <= u < n else v} outside host (n={n})")
+        violations.setdefault("edges_exist", f"pair {pair}: ({lo}, {hi}) is not a host edge")
+    if reused:
+        violations.setdefault("edge_disjoint", f"edge {(lo, hi)} reused by pair {pair}")
 
 
 def identity_certificate(host: Graph) -> Certificate:
@@ -300,7 +320,7 @@ def parse_certificate(text: str) -> Certificate:
     _require(isinstance(conns_doc, list), "connections: expected a list")
     connections = (_bulk_connections(conns_doc, r)
                    or _checked_connections(conns_doc, r))
-    return Certificate(r, tuple(terminals), connections)
+    return Certificate._trusted(r, tuple(terminals), connections)
 
 
 def _bulk_connections(conns_doc: list, r: int) -> Optional[dict]:

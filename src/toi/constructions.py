@@ -17,6 +17,7 @@ concatenation of walks that step along both factor routes at once.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .certificates import (Certificate, Route, concatenate_routes,
@@ -196,25 +197,24 @@ def direct_kts(t: int, s: int) -> Certificate:
     edges and same-row/column pairs get length-3 routes through even rows.
     Requires t >= 6 and s >= 5.
     """
-    singles, paths = direct_kts_routes(t, s)
-    # cell (r, j) is vertex (r-1)*s + j-1, and the terminal (r, j), r = 2i-1
-    # odd (1-based), has index (i-1)*s + j-1; both tables hold one int
-    # object per id.  Every route runs from its lower-index terminal, so
-    # none is reversed; every step changes row (odd to odd, or odd, even,
-    # other even, odd), so none repeats a vertex immediately and
-    # Route._trusted skips only that check
+    paths = direct_kts_routes(t, s)[1]
+    # cell (r, j) is vertex (r-1)*s + j-1 and the terminal (2i-1, j) has index
+    # (i-1)*s + j-1: one int object per id.  The keys are the ascending pair list,
+    # which Certificate._trusted needs; a pair with no pattern route is the edge
+    # from its lower-index terminal, where every route starts, so none is reversed.
+    # Every step changes row, so no vertex repeats at once, which Route._trusted needs
     ids = list(range(2 * t * s))
     vertex = {(r, j): ids[(r - 1) * s + j - 1]
               for r in range(1, 2 * t + 1) for j in range(1, s + 1)}
     index = {(r, j): ids[(r - 1) // 2 * s + j - 1]
              for r in range(1, 2 * t, 2) for j in range(1, s + 1)}
     terminals = tuple(vertex[cell] for cell in index)
-    connections = {(index[a], index[b]): Route._trusted((vertex[a], vertex[b]))
-                   for a, b in singles}
-    for a, b, verts, _tag in paths:
-        connections[(index[a], index[b])] = Route._trusted(
-            tuple(map(vertex.__getitem__, verts)))
-    return Certificate(t * s, terminals, connections)
+    pattern = {(index[a], index[b]): tuple(map(vertex.__getitem__, verts))
+               for a, b, verts, _tag in paths}
+    get, trusted = pattern.get, Route._trusted
+    connections = {(a, b): trusted(get((a, b)) or (terminals[a], terminals[b]))
+                   for a, b in itertools.combinations(ids[:t * s], 2)}
+    return Certificate._trusted(t * s, terminals, connections)
 
 
 # ---------------------------------------------------------------------------

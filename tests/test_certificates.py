@@ -548,6 +548,23 @@ def test_serialized_bytes_are_pinned():
         assert hashlib.sha256(text.encode()).hexdigest() == digest, (t, s)
 
 
+@pytest.mark.parametrize("t,s", [(6, 5), (7, 9)])
+def test_parse_keeps_the_pair_order(t, s):
+    cert = direct_kts(t, s)
+    back = parse_certificate(serialize_certificate(cert))
+    assert list(back.connections) == list(cert.connections)
+    assert back == cert
+
+
+def test_trusted_certificate_still_checks_size_and_terminals():
+    with pytest.raises(ValueError, match="clique size must be positive"):
+        Certificate._trusted(0, (), {})
+    with pytest.raises(ValueError, match="terminal count must equal the clique size"):
+        Certificate._trusted(2, (0,), {(0, 1): Route((0, 1))})
+    cert = Certificate._trusted(2, (0, 1), {(0, 1): Route((0, 1))})
+    assert cert == Certificate(2, (0, 1), {(0, 1): Route((0, 1))})
+
+
 def test_bench_scale_certificate_bytes_are_pinned():
     # the K_432 certificate of the kts-roundtrip benchmark
     text = serialize_certificate(direct_kts(24, 18))
@@ -637,6 +654,23 @@ def test_certificate_text_round_trip(cert):
         2, (0, 1), {(0, 1): Route((6, -2, 0, 1))})),
      MalformedCertificateError,
      "route for pair (0, 1) visits vertex 6 outside host (n=3)"),
+    # single-edge routes: the first vertex, the last, then both out of range
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((7, 0))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 7 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((0, 7))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 7 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((0, -4))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex -4 outside host (n=3)"),
+    (lambda: verify(complete_graph(3), Certificate(
+        2, (0, 1), {(0, 1): Route((5, -4))})),
+     MalformedCertificateError,
+     "route for pair (0, 1) visits vertex 5 outside host (n=3)"),
     (lambda: Certificate(0, ()), ValueError, "clique size must be positive"),
     (lambda: Certificate(2, (0,)), ValueError,
      "terminal count must equal the clique size"),
@@ -659,6 +693,7 @@ def test_certificate_text_round_trip(cert):
 ], ids=["route-repeat", "parse-vertex", "parse-string", "parse-bool-first",
         "parse-missing-first", "verify-high",
         "verify-negative", "verify-n", "verify-first", "verify-two",
+        "verify-edge-first", "verify-edge-last", "verify-edge-negative", "verify-edge-both",
         "cert-size", "cert-terminals", "cert-pair-triple", "cert-pair-single",
         "cert-pair-str", "cert-pair-int", "cert-pair-str-pair",
         "cert-pair-str-second", "cert-pair-none"])
@@ -676,6 +711,25 @@ def test_edges_exist_names_edge_low_high():
         "edges_exist": "pair (0, 1): (1, 3) is not a host edge",
         "all_odd": "pair (0, 1): route has even length 2",
     }
+
+
+@pytest.mark.parametrize("host, cert, expected", [
+    # a single non-edge, stored high to low
+    (cycle_graph(5), Certificate(2, (2, 0), {(0, 1): Route((2, 0))}),
+     {"edges_exist": "pair (0, 1): (0, 2) is not a host edge"}),
+    # a single edge that the route of pair (0, 1) already took
+    (complete_graph(4), Certificate(3, (0, 1, 2), {
+        (0, 1): Route((0, 3, 2, 1)), (0, 2): Route((0, 2)), (1, 2): Route((1, 2))}),
+     {"edge_disjoint": "edge (1, 2) reused by pair (1, 2)",
+      "strong": "pair (0, 1): terminal 2 interior to route"}),
+    # a single edge that an earlier single edge took
+    (complete_graph(3), Certificate(3, (0, 1, 1), {
+        (0, 1): Route((0, 1)), (0, 2): Route((0, 1))}),
+     {"terminals_distinct": "terminal 1 repeats", "complete": "missing pair (1, 2)",
+      "edge_disjoint": "edge (0, 1) reused by pair (0, 2)"}),
+], ids=["non-edge", "reused-after-path", "reused-after-edge"])
+def test_single_edge_route_violations(host, cert, expected):
+    assert verify(host, cert).first_violation == expected
 
 
 @pytest.mark.parametrize("pair", [(0, 5), (1, 0), (1, 1), (0, 1, 2)])

@@ -326,6 +326,14 @@ def test_direct_kts_verifies(t, s):
     assert rep.all_ok, rep.first_violation
 
 
+@pytest.mark.parametrize("t", range(6, 10))
+def test_direct_kts_keys_are_the_ascending_pair_list(t):
+    # Certificate._trusted skips the key check on exactly this property
+    for s in range(5, 9):
+        keys = list(direct_kts(t, s).connections)
+        assert keys == list(itertools.combinations(range(t * s), 2)), (t, s)
+
+
 def test_direct_kts_terminals_are_odd_rows():
     t, s = 6, 5
     cert = direct_kts(t, s)
