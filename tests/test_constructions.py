@@ -461,6 +461,34 @@ def test_cartesian_bytes_are_pinned():
         assert _sha256(serialize_certificate(cert)) == digest
 
 
+def test_builder_bytes_over_factor_grids_are_pinned():
+    # cartesian_32 on all 63 ordered pairs of a non-bipartite G and an H
+    # with a vertex of degree 2 or more, cartesian_large on five first
+    # factors against K4 and K5, and direct_lift on two more factor/base
+    # pairs, one certificate per line
+    gs = [complete_graph(3), complete_graph(4), complete_graph(5),
+          *(cycle_graph(n) for n in (5, 7, 9, 11))]
+    hs = [*(path_graph(n) for n in (3, 4, 5)), complete_graph(3),
+          complete_graph(4), *(cycle_graph(n) for n in (4, 5, 6, 7))]
+    lines = [serialize_certificate(cartesian_32(g, h)) for g in gs for h in hs]
+    assert len(lines) == 63
+    assert _sha256("\n".join(lines)) == (
+        "a1728c044d29ec75ec301d8352b742c7ffb3f475790d6523f85b527d6376c587")
+    k = {n: FactorImmersion.identity(complete_graph(n)) for n in range(2, 6)}
+    c5 = _cycle_factor()
+    lines = [serialize_certificate(cartesian_large(fg, fh))
+             for fg in (k[2], k[3], k[4], k[5], c5) for fh in (k[4], k[5])]
+    assert _sha256("\n".join(lines)) == (
+        "7ea424bd941ffd357cb5e6c6cc6befe5f287c7e1b8113dc1d0b1df4fdfba2acc")
+    base33, base43 = (exact_toi(direct_product(complete_graph(t),
+                                               complete_graph(3))).witness
+                      for t in (3, 4))
+    lines = [serialize_certificate(direct_lift(_cycle_factor(7), k[3], base33)),
+             serialize_certificate(direct_lift(k[4], c5, base43))]
+    assert _sha256("\n".join(lines)) == (
+        "d2829ca2875426bb78a3d2b777250b461a1f0a2289717a2222004c63135bef7d")
+
+
 def test_cartesian_32_rejects_bipartite_first_factor():
     with pytest.raises(ValueError):
         cartesian_32(cycle_graph(4), path_graph(3))

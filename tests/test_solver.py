@@ -1162,6 +1162,27 @@ def test_long_odd_cycle_is_exact_without_search():
         1, 1, 199]
 
 
+def test_odd_cycle_witness_bytes_are_pinned():
+    # the odd-cycle K_3 as exact_toi hands it out on C7, and as
+    # _constructed_witness builds it on three triangle-free hosts
+    res = exact_toi(cycle_graph(7))
+    assert (res.value, res.status, res.nodes_explored) == (3, "exact", 0)
+    assert _witness_sha(res) == ("663b5b58bea3a10b8dfa98ca7805ff85"
+                                 "3411617c1310e19f47ace66b5486bd45")
+    for g, digest in [
+        (petersen(),
+         "82a10959af1046102fc25213a4e901e01284cd5ffe5ddb18b2a6a19100f60fd7"),
+        (mycielski(5),
+         "6bb4616a0ff071d9961432561c6098c7f5b347f31cc27c107273d987a84f54f8"),
+        (cycle_graph(201),
+         "ef6acc94560776f5768668b0697b786ff95f336c33338c004157757d454ade1f"),
+    ]:
+        cert = _constructed_witness(toi.solver._greedy_clique(g),
+                                    is_bipartite(g)[1], g.n)
+        assert hashlib.sha256(serialize_certificate(cert).encode()
+                              ).hexdigest() == digest
+
+
 def test_timeout_keeps_the_constructed_bound():
     # strong C5 x C5 holds a K_4 (K2 x K2) below an upper bound of 9
     g = strong_product(cycle_graph(5), cycle_graph(5))
