@@ -8,11 +8,11 @@ graphs: an odd cycle of G from ``is_bipartite`` and a vertex of H of degree
 at least 2.  Correctness is defined by the verifier: callers (and the test
 suite) re-verify every output.
 
-Index convention: the closed-form route tables below are written with 1-based
-grid coordinates ``(i, j)`` and converted to the 0-based vertex id
-``(i-1)*s + j-1`` only where routes become edges or certificates, to avoid
-off-by-one drift.  Every direct-product route lifted from factor routes is a
-concatenation of walks that step along both factor routes at once.
+Index convention: only ``direct_kts`` is 1-based.  Every factor-lift builder
+is a 0-based base table on a small grid that :func:`_embed` replays, base
+vertex to host vertex and base edge to host path.  Odd, edge-disjoint paths
+keep a totally odd base totally odd; with distinct vertices and internally
+disjoint paths that avoid every base vertex's image, a strong base stays strong.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ class FactorImmersion:
     def size(self) -> int:
         return self.cert.clique_size
 
-    def terminal(self, a: int) -> int:
-        return self.cert.terminals[a]
-
     def route(self, a: int, b: int) -> tuple:
         """Route vertices oriented from terminal index ``a`` to ``b``."""
         if a == b:
@@ -56,6 +53,15 @@ class FactorImmersion:
         # verified: every route joins its pair's two distinct terminals
         verts = self.cert.connections[(min(a, b), max(a, b))].vertices
         return verts if verts[0] == self.cert.terminals[a] else verts[::-1]
+
+
+def _embed(base: Certificate, vertex, path) -> Certificate:
+    """Replay ``base`` in a host: terminal x becomes ``vertex[x]`` and each
+    step x -> y of a base route the host route ``path(x, y)``, the pieces
+    joined in the base route's own direction."""
+    return Certificate(base.clique_size, tuple(vertex[x] for x in base.terminals),
+                       {pair: concatenate_routes(map(path, r.vertices, r.vertices[1:]))
+                        for pair, r in base.connections.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -92,10 +98,10 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
                 base: Certificate) -> Certificate:
     """Lift a K_r certificate of K_t x K_s to G x H.
 
-    Every base route is replayed edge by edge: each base edge, which joins
-    grid cells differing in both coordinates, is replaced by its connector
-    route; the pieces are concatenated.  A base pair joined by a single edge
-    therefore receives exactly its single connector.
+    Every base route is replayed edge by edge (:func:`_embed`): each base
+    edge, which joins grid cells differing in both coordinates, is replaced
+    by its connector route.  A base pair joined by a single edge therefore
+    receives exactly its single connector.
     """
     t, s = fg.size, fh.size
     if t < 3 or s < 3:
@@ -106,18 +112,15 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
         raise ValueError(
             f"base certificate is not a totally odd immersion: {report.first_violation}")
 
+    # _m_route(x, y) is _m_route(y, x) reversed, so lifting each base route
+    # from its pair's first terminal lifts the stored one and orients it
+    oriented = Certificate(base.clique_size, base.terminals, {
+        (a, b): route if route.vertices[0] == base.terminals[a] else route.reversed()
+        for (a, b), route in base.connections.items()})
     n_h = fh.host.n
-    terminals = tuple(fg.terminal(v // s) * n_h + fh.terminal(v % s)
-                      for v in base.terminals)
-    connections = {}
-    for (a, b), route in base.connections.items():
-        cells = [divmod(v, s) for v in route.vertices]
-        lifted = concatenate_routes(_m_route(fg, fh, c, c2)
-                                    for c, c2 in zip(cells, cells[1:]))
-        if base.terminals[a] != route.vertices[0]:
-            lifted = lifted.reversed()
-        connections[(a, b)] = lifted
-    return Certificate(base.clique_size, terminals, connections)
+    return _embed(oriented,
+                  [x * n_h + y for x in fg.cert.terminals for y in fh.cert.terminals],
+                  lambda x, y: _m_route(fg, fh, divmod(x, s), divmod(y, s)))
 
 
 # ---------------------------------------------------------------------------
@@ -221,12 +224,20 @@ def direct_kts(t: int, s: int) -> Certificate:
 # Cartesian product constructions
 # ---------------------------------------------------------------------------
 
-def _lift_into_h_fiber(q_verts, g_vertex, n_h) -> Route:
-    return Route(tuple(g_vertex * n_h + x for x in q_verts))
+def _grid_path(g_route, h_route, g_at, h_at, n_h, s):
+    """The :func:`_embed` vertex map and path of a base grid into G [] H.
 
-
-def _lift_into_g_copy(p_verts, h_vertex, n_h) -> Route:
-    return Route(tuple(x * n_h + h_vertex for x in p_verts))
+    Cell ``(a, c)``, base vertex ``a*s + c``, goes to ``(g_at[a], h_at[c])``;
+    a row step ``(a, c) -> (a, d)`` lifts ``h_route(c, d)`` into the fibre at
+    ``g_at[a]``, a column step ``(a, c) -> (b, c)`` lifts ``g_route(a, b)``
+    into the copy at ``h_at[c]``.
+    """
+    def path(x, y):
+        (a, c), (b, d) = divmod(x, s), divmod(y, s)
+        if a == b:
+            return Route(tuple(g_at[a] * n_h + z for z in h_route(c, d)))
+        return Route(tuple(z * n_h + h_at[c] for z in g_route(a, b)))
+    return [x * n_h + y for x in g_at for y in h_at], path
 
 
 def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
@@ -243,33 +254,20 @@ def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
         raise ValueError("requires s >= 4")
     if t < 2:
         raise ValueError("requires t >= 2")
-    n_h = fh.host.n
-    u = fg.cert.terminals
-    v = fh.cert.terminals
 
-    # terminal order: (u_1, v_1) .. (u_1, v_s), then (u_2, v_1) .. (u_t, v_1)
-    terminals = tuple(u[0] * n_h + v[j] for j in range(s)) \
-        + tuple(u[i] * n_h + v[0] for i in range(1, t))
-
-    connections = {}
-    for j in range(s):
-        for j2 in range(j + 1, s):
-            connections[(j, j2)] = _lift_into_h_fiber(fh.route(j, j2), u[0], n_h)
-    for i in range(1, t):
-        for i2 in range(i + 1, t):
-            connections[(s + i - 1, s + i2 - 1)] = _lift_into_g_copy(
-                fg.route(i, i2), v[0], n_h)
-    for i in range(1, t):
-        b = s + i - 1
-        # (u_1, v_1) - (u_i, v_1): first-factor route in the v_1 copy
-        connections[(0, b)] = _lift_into_g_copy(fg.route(0, i), v[0], n_h)
-        for j in range(1, s):
-            w = j + 1 if j < s - 1 else 1  # the detour's second-factor target
-            connections[(j, b)] = concatenate_routes([
-                _lift_into_g_copy(fg.route(0, i), v[j], n_h),
-                _lift_into_h_fiber(fh.route(j, w), u[i], n_h),
-                _lift_into_h_fiber(fh.route(w, 0), u[i], n_h)])
-    return Certificate(t + s - 1, terminals, connections)
+    # grid cell (i, j) of K_t [] K_s is vertex i*s + j; terminal order:
+    # (0, 0) .. (0, s-1), then (1, 0) .. (t-1, 0)
+    terminals = tuple(range(s)) + tuple(range(s, t * s, s))
+    # a pair in one row or one column is one step apart; (0, j) reaches
+    # (i, 0) through (i, j) and (i, w), w the detour's second-factor target
+    routes = {}
+    for (a, x), (b, y) in itertools.combinations(enumerate(terminals), 2):
+        w = x + 1 if x < s - 1 else 1
+        routes[(a, b)] = Route((x, y) if x == 0 or y < s or x >= s
+                               else (x, y + x, y + w, y))
+    base = Certificate(t + s - 1, terminals, routes)
+    return _embed(base, *_grid_path(fg.route, fh.route, fg.cert.terminals,
+                                    fh.cert.terminals, fh.host.n, s))
 
 
 def _canonical_cycle(cycle):
@@ -282,11 +280,20 @@ def _canonical_cycle(cycle):
     return cyc
 
 
+def _odd_cycle_k3(c) -> Certificate:
+    """K_3 on an odd cycle c: routes c0-c1, c1-c2, and c0 backwards round
+    the rest of the cycle to c2, whose L - 2 edges are odd in number and
+    whose interior holds no terminal; the three routes share no edge."""
+    routes = {(0, 1): (c[0], c[1]), (1, 2): (c[1], c[2]), (0, 2): (c[0], *c[:1:-1])}
+    return Certificate(3, (c[0], c[1], c[2]), {pair: Route._trusted(vertices)
+                                               for pair, vertices in routes.items()})
+
+
 def cartesian_32(g: Graph, h: Graph) -> Certificate:
     """K_4 certificate in G [] H for non-bipartite G and H with a degree-2 vertex.
 
-    Embeds the explicit odd-cycle-times-three-path construction onto an odd
-    cycle of G and a center-plus-two-neighbors star of H.
+    Embeds a K_4 table in K_3 [] P_3 onto the odd-cycle K_3 of G
+    (:func:`_odd_cycle_k3`) and a center-plus-two-neighbors star of H.
     """
     bip, cycle = is_bipartite(g)
     if bip:
@@ -296,24 +303,18 @@ def cartesian_32(g: Graph, h: Graph) -> Certificate:
     if v2 is None:
         raise ValueError("requires a second factor with a vertex of degree >= 2")
     v1, v3 = h.adjacency[v2][:2]
-    c = _canonical_cycle(cycle)
-    n_h = h.n
+    star = (v1, v2, v3)
+    fg = FactorImmersion(g, _odd_cycle_k3(_canonical_cycle(cycle)))
 
-    def enc(ci, hv):
-        return c[ci] * n_h + hv
-
-    L = len(c)  # odd, >= 3
-    terminals = (enc(0, v1), enc(1, v1), enc(2, v1), enc(0, v2))
-    connections = {
-        (0, 1): Route((enc(0, v1), enc(1, v1))),
-        (1, 2): Route((enc(1, v1), enc(2, v1))),
-        (0, 3): Route((enc(0, v1), enc(0, v2))),
-        # around the v1 cycle, the long way
-        (0, 2): Route(tuple(enc(m % L, v1) for m in range(2, L + 1))),
-        # up to v2, then around the v2 cycle back to column 1
-        (1, 3): Route((enc(1, v1),) + tuple(enc(m % L, v2) for m in range(1, L + 1))),
-        # through the v3 cycle: v2, v3, two steps, back down to v1
-        (2, 3): Route((enc(0, v2), enc(0, v3), enc(1, v3), enc(2, v3),
-                       enc(2, v2), enc(2, v1))),
-    }
-    return Certificate(4, terminals, connections)
+    # grid cell (a, c) of K_3 [] P_3 is vertex 3a + c, a indexing the K_3
+    # terminals c0, c1, c2 and c the star; step c2 -> c0 is the long arc
+    base = Certificate(4, (0, 3, 6, 1), {
+        (0, 1): Route((0, 3)),
+        (1, 2): Route((3, 6)),
+        (0, 3): Route((0, 1)),
+        (0, 2): Route((6, 0)),  # around the v1 cycle, the long way
+        (1, 3): Route((3, 4, 7, 1)),  # up to v2, round the v2 cycle to c0
+        (2, 3): Route((1, 2, 5, 8, 7, 6)),  # v2, v3, two steps, down to v1
+    })
+    return _embed(base, *_grid_path(fg.route, lambda c, d: (star[c], star[d]),
+                                    fg.cert.terminals, star, h.n, 3))

@@ -12,9 +12,11 @@ no edge, so the sum of these counts must fit in the free ones, and what it
 leaves bounds the length of the next route.  The chromatic number is found
 by DSATUR-ordered backtracking for k-colourings between a clique lower
 bound and a DSATUR upper bound.
-This module is the independent brute-force oracle for the constructions: any
-witness it returns is re-verified before being handed out, and a definitive
-absence is only reported when the search space was fully enumerated.
+This module is the brute-force oracle for the constructions; its upper end
+shares no code with them.  Any witness it returns, the odd-cycle K_3 it
+takes from :mod:`toi.constructions` included, is re-verified before being
+handed out, and a definitive absence is only reported when the search space
+was fully enumerated.
 
 Before any search, :func:`exact_toi` builds a lower bound in one pass: the
 greedy clique, whose routes are its edges, or for a non-bipartite graph a
@@ -52,6 +54,7 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from .certificates import Certificate, Route, verify
+from .constructions import _odd_cycle_k3
 from .graphs import Graph, is_bipartite
 
 
@@ -490,24 +493,19 @@ def _constructed_witness(clique, odd_cycle, upper: int) -> Certificate:
     ``clique``, the greedy clique (:func:`_greedy_clique`), is its own
     certificate: its vertices, ascending, are the terminals and every route
     is one edge.  ``odd_cycle``, the cycle :func:`is_bipartite` returns for a
-    non-bipartite graph (None otherwise), carries a K_3: with c0, c1, c2 its
-    first three vertices, two routes are the edges c0-c1 and c1-c2, and the
-    third runs from c0 backwards round the rest of the cycle to c2.  On a
-    cycle of odd length L that route has L - 2 edges, an odd number, and its
-    interior holds no terminal; the three routes share no edge."""
+    non-bipartite graph (None otherwise), carries the K_3 of
+    :func:`~toi.constructions._odd_cycle_k3`."""
     if odd_cycle is not None and len(clique) < 3:
-        c = odd_cycle
-        terminals = (c[0], c[1], c[2])
-        routes = {(0, 1): (c[0], c[1]), (1, 2): (c[1], c[2]),
-                  (0, 2): (c[0], *c[:1:-1])}
+        k3 = _odd_cycle_k3(odd_cycle)
+        terminals, routes = k3.terminals, k3.connections
     else:
         terminals = tuple(sorted(clique))
-        routes = {(a, b): (terminals[a], terminals[b])
+        routes = {(a, b): Route._trusted((terminals[a], terminals[b]))
                   for a, b in itertools.combinations(range(len(terminals)), 2)}
     r = min(len(terminals), upper)
     # the caller verifies the whole certificate (_verified)
-    return Certificate(r, terminals[:r], {pair: Route._trusted(vertices)
-                                          for pair, vertices in routes.items()
+    return Certificate(r, terminals[:r], {pair: route
+                                          for pair, route in routes.items()
                                           if pair[1] < r})
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from toi.certificates import Certificate, Route, serialize_certificate, verify
 from toi.constructions import (
     FactorImmersion,
+    _embed,
+    _grid_path,
     _m_route,
     _walk,
     cartesian_32,
@@ -487,6 +489,27 @@ def test_builder_bytes_over_factor_grids_are_pinned():
              serialize_certificate(direct_lift(k[4], c5, base43))]
     assert _sha256("\n".join(lines)) == (
         "d2829ca2875426bb78a3d2b777250b461a1f0a2289717a2222004c63135bef7d")
+
+
+def _long_arc(k, n):
+    """Edge map of the cycle C_k onto C_n, n >= k both odd: vertex z stays z
+    and the edge (k - 1, 0) goes the long way round through k .. n - 1."""
+    arc = tuple(range(k - 1, n)) + (0,)
+    return lambda x, y: ((x, y) if {x, y} != {k - 1, 0}
+                         else arc if x == k - 1 else arc[::-1])
+
+
+@pytest.mark.parametrize("a,b", [(3, 5), (3, 9), (5, 7), (7, 5), (9, 11)])
+def test_odd_subdivision_carries_the_c3_c5_k5(a, b):
+    # each factor's odd cycle maps onto a longer odd one, so C3 [] C5 maps
+    # into C_a [] C_b fibre by fibre, and its K5 goes with it
+    res = exact_toi(cartesian_product(cycle_graph(3), cycle_graph(5)))
+    assert (res.value, res.status, res.nodes_explored) == (5, "exact", 34)
+    cert = _embed(res.witness, *_grid_path(_long_arc(3, a), _long_arc(5, b),
+                                           range(3), range(5), b, 5))
+    host = cartesian_product(cycle_graph(a), cycle_graph(b))
+    assert verify(host, cert).satisfies("totally-odd-strong")
+    assert cert.clique_size == 5
 
 
 def test_cartesian_32_rejects_bipartite_first_factor():
