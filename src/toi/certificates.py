@@ -94,7 +94,8 @@ class Certificate:
     """Witness of a K_r immersion: terminals plus one route per terminal pair.
 
     ``connections`` maps each pair ``(a, b)`` of terminal indices,
-    ``0 <= a < b < clique_size``, to the route stored from ``terminals[a]``.
+    ``0 <= a < b < clique_size``, to its route, stored from either end:
+    ``FactorImmersion.route`` and ``direct_lift`` orient it when they read it.
     Structural slack (missing pairs, repeated terminals) is legal here and is
     reported by the verifier; only index-range violations are rejected.
     """

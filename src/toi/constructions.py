@@ -9,10 +9,12 @@ at least 2.  Correctness is defined by the verifier: callers (and the test
 suite) re-verify every output.
 
 Index convention: only ``direct_kts`` is 1-based.  Every factor-lift builder
-is a 0-based base table on a small grid that :func:`_embed` replays, base
-vertex to host vertex and base edge to host path.  Odd, edge-disjoint paths
-keep a totally odd base totally odd; with distinct vertices and internally
-disjoint paths that avoid every base vertex's image, a strong base stays strong.
+is a 0-based base table on a small grid that :func:`_embed` replays through
+:func:`_grid_path`: base vertex to host vertex, and base edge (a row, column
+or cross step, the last reversed when it runs to a lower cell) to host path.
+Odd, edge-disjoint paths keep a totally odd base totally odd; with distinct
+vertices and internally disjoint paths that avoid every base vertex's image,
+a strong base stays strong.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ def _embed(base: Certificate, vertex, path) -> Certificate:
                         for pair, r in base.connections.items()})
 
 
-# ---------------------------------------------------------------------------
-# Direct product: lifting a base immersion of K_t x K_s into G x H
-# ---------------------------------------------------------------------------
-
 def _walk(p, q, n_h) -> Route:
     """Direct-product route from ``(p[0], q[0])`` to ``(p[-1], q[-1])``.
 
@@ -82,26 +80,43 @@ def _walk(p, q, n_h) -> Route:
         return seq[i] if i <= last else seq[last + (i - last) % 2]
 
     return Route(tuple(at(p, i) * n_h + at(q, i)
-                       for i in range(max(len(p), len(q)) - 1))
-                 + (p[-1] * n_h + q[-1],))
+                       for i in range(max(len(p), len(q)))))
 
 
-def _m_route(fg: FactorImmersion, fh: FactorImmersion, a, b) -> Route:
-    """Connector route from grid cell ``a = (i, j)`` to ``b = (i', j')``,
-    terminal indices 0-based, differing in both coordinates."""
-    if a > b:
-        return _m_route(fg, fh, b, a).reversed()
-    return _walk(fg.route(a[0], b[0]), fh.route(a[1], b[1]), fh.host.n)
+def _grid_path(g_route, h_route, g_at, h_at, n_h, s):
+    """The :func:`_embed` vertex map and path of a base grid in a product G * H.
 
+    Cell ``(a, c)``, base vertex ``a*s + c``, goes to ``(g_at[a], h_at[c])``.
+    A row step ``(a, c) -> (a, d)`` lifts ``h_route(c, d)`` into the fibre at
+    ``g_at[a]``, a column step ``(a, c) -> (b, c)`` lifts ``g_route(a, b)``
+    into the copy at ``h_at[c]``, and a cross step ``(a, c) -> (b, d)`` walks
+    both routes at once (:func:`_walk`).  A cross step x -> y with x > y is
+    y -> x reversed: ``_walk`` alternates at its end, so walking the reversed
+    routes may give another route (it does for routes of 5 and 3 edges).
+    """
+    def path(x, y):
+        (a, c), (b, d) = divmod(x, s), divmod(y, s)
+        if a == b:
+            return Route(tuple(g_at[a] * n_h + z for z in h_route(c, d)))
+        if c == d:
+            return Route(tuple(z * n_h + h_at[c] for z in g_route(a, b)))
+        if x > y:
+            return path(y, x).reversed()
+        return _walk(g_route(a, b), h_route(c, d), n_h)
+    return [x * n_h + y for x in g_at for y in h_at], path
+
+
+# ---------------------------------------------------------------------------
+# Direct product: lifting a base immersion of K_t x K_s into G x H
+# ---------------------------------------------------------------------------
 
 def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
                 base: Certificate) -> Certificate:
     """Lift a K_r certificate of K_t x K_s to G x H.
 
-    Every base route is replayed edge by edge (:func:`_embed`): each base
-    edge, which joins grid cells differing in both coordinates, is replaced
-    by its connector route.  A base pair joined by a single edge therefore
-    receives exactly its single connector.
+    Every base route is replayed edge by edge (:func:`_embed`), each base
+    edge a cross step of :func:`_grid_path`, so a base pair joined by a
+    single edge receives exactly its single connector.
     """
     t, s = fg.size, fh.size
     if t < 3 or s < 3:
@@ -112,15 +127,13 @@ def direct_lift(fg: FactorImmersion, fh: FactorImmersion,
         raise ValueError(
             f"base certificate is not a totally odd immersion: {report.first_violation}")
 
-    # _m_route(x, y) is _m_route(y, x) reversed, so lifting each base route
-    # from its pair's first terminal lifts the stored one and orients it
+    # a cross step x -> y is the step y -> x reversed, so lifting each base
+    # route from its pair's first terminal lifts the stored one and orients it
     oriented = Certificate(base.clique_size, base.terminals, {
         (a, b): route if route.vertices[0] == base.terminals[a] else route.reversed()
         for (a, b), route in base.connections.items()})
-    n_h = fh.host.n
-    return _embed(oriented,
-                  [x * n_h + y for x in fg.cert.terminals for y in fh.cert.terminals],
-                  lambda x, y: _m_route(fg, fh, divmod(x, s), divmod(y, s)))
+    return _embed(oriented, *_grid_path(fg.route, fh.route, fg.cert.terminals,
+                                        fh.cert.terminals, fh.host.n, s))
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,7 @@ def direct_kts(t: int, s: int) -> Certificate:
     edges and same-row/column pairs get length-3 routes through even rows.
     Requires t >= 6 and s >= 5.
     """
+    # singles is discarded; the call stays because a benchmark counter reads its return
     paths = direct_kts_routes(t, s)[1]
     # cell (r, j) is vertex (r-1)*s + j-1 and the terminal (2i-1, j) has index
     # (i-1)*s + j-1: one int object per id.  The keys are the ascending pair list,
@@ -223,22 +237,6 @@ def direct_kts(t: int, s: int) -> Certificate:
 # ---------------------------------------------------------------------------
 # Cartesian product constructions
 # ---------------------------------------------------------------------------
-
-def _grid_path(g_route, h_route, g_at, h_at, n_h, s):
-    """The :func:`_embed` vertex map and path of a base grid into G [] H.
-
-    Cell ``(a, c)``, base vertex ``a*s + c``, goes to ``(g_at[a], h_at[c])``;
-    a row step ``(a, c) -> (a, d)`` lifts ``h_route(c, d)`` into the fibre at
-    ``g_at[a]``, a column step ``(a, c) -> (b, c)`` lifts ``g_route(a, b)``
-    into the copy at ``h_at[c]``.
-    """
-    def path(x, y):
-        (a, c), (b, d) = divmod(x, s), divmod(y, s)
-        if a == b:
-            return Route(tuple(g_at[a] * n_h + z for z in h_route(c, d)))
-        return Route(tuple(z * n_h + h_at[c] for z in g_route(a, b)))
-    return [x * n_h + y for x in g_at for y in h_at], path
-
 
 def cartesian_large(fg: FactorImmersion, fh: FactorImmersion) -> Certificate:
     """K_{t+s-1} certificate in G [] H when the second factor clique has s >= 4.

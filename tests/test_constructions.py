@@ -8,12 +8,17 @@ from conftest import edge_class, is_translation, kts_declared_classes
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toi.certificates import Certificate, Route, serialize_certificate, verify
+from toi.certificates import (
+    Certificate,
+    Route,
+    identity_certificate,
+    serialize_certificate,
+    verify,
+)
 from toi.constructions import (
     FactorImmersion,
     _embed,
     _grid_path,
-    _m_route,
     _walk,
     cartesian_32,
     cartesian_large,
@@ -27,7 +32,9 @@ from toi.graphs import (
     complete_graph,
     cycle_graph,
     direct_product,
+    lexicographic_product,
     path_graph,
+    strong_product,
 )
 from toi.solver import SearchBudget, _ToiSearch, exact_toi
 
@@ -201,12 +208,33 @@ def test_m_route_bytes_are_pinned():
     k4 = FactorImmersion.identity(complete_graph(4))
     lines = []
     for fg, fh in ((c7, c9), (c9, k4), (k4, c7)):
-        cells = list(itertools.product(range(fg.size), range(fh.size)))
+        s = fh.size
+        path = _grid_path(fg.route, fh.route, fg.cert.terminals,
+                          fh.cert.terminals, fh.host.n, s)[1]
+        cells = list(itertools.product(range(fg.size), range(s)))
         for a, b in itertools.product(cells, repeat=2):
             if a[0] != b[0] and a[1] != b[1]:
-                lines.append(f"{a} {b} {_m_route(fg, fh, a, b).vertices}")
+                route = path(a[0] * s + a[1], b[0] * s + b[1])
+                lines.append(f"{a} {b} {route.vertices}")
     assert _sha256("\n".join(lines)) == (
         "f716d8ece6022fb2d1eeee42d117e955f304c335817f12c651d2585d7be49de5")
+
+
+def test_identity_grid_base_replays_in_strong_and_lex():
+    # K_ts on the t-by-s grid: every pair is one row, column or cross step,
+    # so each replay mixes all three step kinds of _grid_path
+    factors = [FactorImmersion(f, exact_toi(f).witness)
+               for f in (complete_graph(2), complete_graph(3), complete_graph(4),
+                         cycle_graph(5), cycle_graph(7), path_graph(2))]
+    for fg, fh in itertools.product(factors, repeat=2):
+        t, s = fg.size, fh.size
+        cert = _embed(identity_certificate(complete_graph(t * s)),
+                      *_grid_path(fg.route, fh.route, fg.cert.terminals,
+                                  fh.cert.terminals, fh.host.n, s))
+        assert cert.clique_size == t * s
+        for product in (strong_product, lexicographic_product):
+            report = verify(product(fg.host, fh.host), cert)
+            assert report.satisfies("totally-odd-strong"), (product, fg, fh)
 
 
 def test_direct_lift_orients_reversed_base_routes():

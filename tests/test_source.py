@@ -40,6 +40,45 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def unread_private_helpers(sources: list) -> list:
+    """The module-level private functions and classes of ``sources`` that no
+    code outside their own body reads, sorted.  A read is a ``Name``, an
+    ``Attribute`` or an import alias, in any of the sources."""
+    defined, read = set(), set()
+    for source in sources:
+        for stmt in ast.parse(source).body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)) and stmt.name.startswith("_"):
+                own = stmt.name
+                defined.add(own)
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else
+                        node.name if isinstance(node, ast.alias) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return sorted(defined - read)
+
+
+def test_unread_private_helper_check_finds_them():
+    sources = ["def _a():\n    return _a()\n"
+               "def _b():\n    pass\n"
+               "class _C:\n    pass\n"
+               "def _d():\n    return _b, x._C\n"
+               "def _e():\n    pass\n"
+               "def f():\n    return _d()\n",
+               "from m import _e\nclass _F:\n    y = _F\n"]
+    assert unread_private_helpers(sources) == ["_F", "_a"]
+
+
+def test_every_private_helper_is_read_in_the_package():
+    # a private helper that only tests reach is code the package does not need
+    assert unread_private_helpers(
+        [path.read_text(encoding="utf-8")
+         for path in sorted(PACKAGE.glob("*.py"))]) == []
+
+
 def _words(text: str) -> str:
     """``text`` with table rules, code marks and line breaks dropped."""
     return " ".join(text.replace("|", " ").replace("`", "").split())
